@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -125,7 +126,7 @@ func BenchmarkISAEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func BenchmarkRTLCosim(b *testing.B) {
 		acc = g.Xor(g.Add(acc, x), y)
 	}
 	g.Output(acc)
-	res, err := sched.Schedule(g, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func BenchmarkWorkloadProfiles(b *testing.B) {
 		name, g := name, g
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := sched.Schedule(g, arch, sched.Options{})
+				res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,7 +280,7 @@ func BenchmarkExtensionEnergyAxis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func BenchmarkExtensionInstructionCompression(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func BenchmarkExtensionGateLevelDecode(b *testing.B) {
 	x := g.In()
 	y := g.In()
 	g.Output(g.Xor(g.Add(x, y), g.Sll(x, g.ConstV(3))))
-	res, err := sched.Schedule(g, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

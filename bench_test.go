@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -248,7 +249,7 @@ func BenchmarkScheduleCryptRound(b *testing.B) {
 	arch := tta.Figure9()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Schedule(kernel, arch, sched.Options{}); err != nil {
+		if _, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +263,7 @@ func BenchmarkSimulateCryptRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	arch := tta.Figure9()
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -238,7 +239,7 @@ func TestKernelRunsOnFigure9TTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := tta.Figure9()
-	res, err := sched.Schedule(g, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/program"
@@ -22,7 +23,7 @@ func TestLoopedCryptFromOneInstructionBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestEpilogueCopiesRespectPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -869,9 +869,21 @@ func evalStructuralBound(ctx context.Context, cfg *Config, arch *tta.Architectur
 }
 
 func evalStructuralWith(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span, areaDelay func(context.Context, *tta.Component) (float64, float64, error)) (structEval, error) {
-	// Throughput axis: schedule the kernel.
+	// Throughput axis: schedule the kernel. Only the energy model walks
+	// the move program; every other evaluation needs just the schedule's
+	// cost.
 	schedSp := sp.Child("sched")
-	schedRes, err := sched.ScheduleContext(ctx, cfg.Workload, arch, sched.Options{Obs: cfg.Obs})
+	var schedRes *sched.Result
+	var sum sched.Summary
+	var err error
+	opts := sched.Options{Obs: cfg.Obs}
+	if cfg.EnergyModel != nil {
+		if schedRes, err = sched.ScheduleContext(ctx, cfg.Workload, arch, opts); err == nil {
+			sum = schedRes.Summary()
+		}
+	} else {
+		sum, err = sched.SummarizeContext(ctx, cfg.Workload, arch, opts)
+	}
 	schedSp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -881,8 +893,8 @@ func evalStructuralWith(ctx context.Context, cfg *Config, arch *tta.Architecture
 	}
 	se := structEval{
 		feasible: true,
-		cycles:   schedRes.Cycles,
-		spills:   schedRes.Spills,
+		cycles:   sum.Cycles,
+		spills:   sum.Spills,
 	}
 
 	// Area and clock axes from the gate-level library.
@@ -906,7 +918,13 @@ func evalStructuralWith(ctx context.Context, cfg *Config, arch *tta.Architecture
 	}
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
-		area += float64(len(c.InputPorts()))*inA + float64(len(c.OutputPorts()))*outA
+		nIn := 0
+		for _, p := range c.Ports {
+			if p.Role.IsInput() {
+				nIn++
+			}
+		}
+		area += float64(nIn)*inA + float64(len(c.Ports)-nIn)*outA
 	}
 	area += float64(arch.Buses) * float64(arch.Width) * cfg.BusAreaPerBit
 	se.area = area

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pareto"
@@ -13,7 +14,7 @@ import (
 
 func mustSchedule(t *testing.T, g *program.Graph, a *tta.Architecture) int {
 	t.Helper()
-	res, err := sched.Schedule(g, a, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, a, sched.Options{})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", g.Name, a.Name, err)
 	}

@@ -1,6 +1,7 @@
 package ftest
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -193,7 +194,7 @@ func TestTestProgramCompilesAndDumpsResponses(t *testing.T) {
 	// The program schedules like any application and its fault-free dump
 	// matches the expected responses.
 	arch := tta.Figure9()
-	schedRes, err := sched.Schedule(tp.Graph, arch, sched.Options{})
+	schedRes, err := sched.ScheduleContext(context.Background(), tp.Graph, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func scheduleKernel(t *testing.T, arch *tta.Architecture) *sched.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestSpillMovesEncodable(t *testing.T) {
 		acc = g.Xor(acc, v)
 	}
 	g.Output(acc)
-	res, err := sched.Schedule(g, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

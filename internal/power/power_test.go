@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/crypt"
@@ -60,7 +61,7 @@ func TestScheduleEnergyBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestEnergyTradeoffMoreUnitsLessTimeMoreLeakPerCycle(t *testing.T) {
 	big.Components = append(big.Components, tta.NewFU(tta.ALU, "ALU2"))
 	tta.AssignPorts(big, tta.SpreadFirst)
 
-	resS, err := sched.Schedule(g, small, sched.Options{})
+	resS, err := sched.ScheduleContext(context.Background(), g, small, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := sched.Schedule(g, big, sched.Options{})
+	resB, err := sched.ScheduleContext(context.Background(), g, big, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestEnergyScalesWithWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := sched.Schedule(one, arch, sched.Options{})
+	r1, err := sched.ScheduleContext(context.Background(), one, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := sched.Schedule(four, arch, sched.Options{})
+	r4, err := sched.ScheduleContext(context.Background(), four, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestEncodedBinaryRunsOnGates(t *testing.T) {
 		}
 		g.Output(vals[len(vals)-1])
 
-		res, err := sched.Schedule(g, arch, sched.Options{})
+		res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestRunProgramRejectsForeignFormat(t *testing.T) {
 	other := smallArch(2)
 	g := program.NewGraph("x", 16)
 	g.Output(g.Add(g.In(), g.In()))
-	res, err := sched.Schedule(g, other, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, other, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

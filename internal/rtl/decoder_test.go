@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestBinaryThroughGateLevelDecode(t *testing.T) {
 		}
 		g.Output(vals[len(vals)-1])
 
-		res, err := sched.Schedule(g, arch, sched.Options{})
+		res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestCryptSliceThroughGateLevelDecode(t *testing.T) {
 	idx := g.Xor(g.Srl(xhi, c(10)), c(0x15))
 	g.Output(g.Load(g.Add(c(crypt.SPHiBase), idx)))
 
-	res, err := sched.Schedule(g, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRunWordsRejectsForeignProgram(t *testing.T) {
 	other := smallArch(2)
 	g := program.NewGraph("x", 16)
 	g.Output(g.Add(g.In(), g.In()))
-	res, err := sched.Schedule(g, other, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, other, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func smallArch(buses int) *tta.Architecture {
 // gate-level machine, and requires bit-identical outputs from both.
 func runAllTiers(t *testing.T, arch *tta.Architecture, m *Machine, g *program.Graph, inputs []uint64, mem program.Memory) []uint64 {
 	t.Helper()
-	res, err := sched.Schedule(g, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -235,7 +236,7 @@ func TestRunScheduleRejectsForeignArch(t *testing.T) {
 	other := smallArch(2)
 	g := program.NewGraph("x", 16)
 	g.Output(g.Add(g.In(), g.In()))
-	res, err := sched.Schedule(g, other, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, other, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

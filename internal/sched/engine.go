@@ -5,27 +5,11 @@ import (
 	"repro/internal/tta"
 )
 
-// rfPos maps a component index (of an RF) to its position in s.rfs.
-func (s *scheduler) rfPos(comp int) int {
-	for i, rf := range s.rfs {
-		if rf == comp {
-			return i
-		}
-	}
-	return -1
-}
-
 // allocReg claims a free register, preferring the register file with the
 // most free capacity (balances pressure across RF1/RF2).
 func (s *scheduler) allocReg(cycle int) (RegLoc, bool) {
 	best, bestFree := -1, 0
-	for i := range s.rfs {
-		free := 0
-		for _, f := range s.rfFree[i] {
-			if f {
-				free++
-			}
-		}
+	for i, free := range s.rfFreeN {
 		if free > bestFree {
 			best, bestFree = i, free
 		}
@@ -36,6 +20,7 @@ func (s *scheduler) allocReg(cycle int) (RegLoc, bool) {
 	for j, f := range s.rfFree[best] {
 		if f {
 			s.rfFree[best][j] = false
+			s.rfFreeN[best]--
 			s.live++
 			if s.live > s.peakLive {
 				s.peakLive = s.live
@@ -50,9 +35,10 @@ func (s *scheduler) freeReg(loc RegLoc) {
 	if loc.RF < 0 {
 		return
 	}
-	pos := s.rfPos(loc.RF)
+	pos := s.rfIndex[loc.RF]
 	if pos >= 0 && !s.rfFree[pos][loc.Reg] {
 		s.rfFree[pos][loc.Reg] = true
+		s.rfFreeN[pos]++
 		s.live--
 	}
 }
@@ -64,8 +50,7 @@ func (s *scheduler) sourceReadable(v program.ValueID, cycle int) (Endpoint, bool
 	if vs.isConst {
 		for _, imm := range s.imms {
 			if s.immUsed[imm] == 0 {
-				c := &s.arch.Components[imm]
-				return Endpoint{Comp: imm, Port: c.OutputPorts()[0], Reg: -1, Imm: vs.constVal}, true
+				return Endpoint{Comp: imm, Port: s.ports[imm].out[0], Reg: -1, Imm: vs.constVal}, true
 			}
 		}
 		return Endpoint{}, false
@@ -78,7 +63,7 @@ func (s *scheduler) sourceReadable(v program.ValueID, cycle int) (Endpoint, bool
 	if s.rfReads[rf] >= c.NumOut {
 		return Endpoint{}, false
 	}
-	outs := c.OutputPorts()
+	outs := s.ports[rf].out
 	port := outs[s.rfReads[rf]%len(outs)]
 	return Endpoint{Comp: rf, Port: port, Reg: vs.loc.Reg}, true
 }
@@ -110,7 +95,7 @@ func (s *scheduler) fuFor(class program.Class, cycle int) int {
 	default:
 		kind = tta.LDST
 	}
-	for _, fu := range s.fuByKind[kind] {
+	for _, fu := range s.fusOf(kind) {
 		if s.fuBusyBy[fu] < cycle {
 			return fu
 		}
@@ -129,9 +114,12 @@ func portOf(c *tta.Component, role tta.PortRole) int {
 
 // tryStart begins an op: the operand move (and, resources permitting, the
 // trigger in the same cycle). Loads have no separate operand move; their
-// address move is the trigger itself.
-func (s *scheduler) tryStart(oi int, cycle int) bool {
-	op := s.g.Ops[oi]
+// address move is the trigger itself. When an operand has not been
+// produced yet, tryStart returns it (the op cannot start before its
+// producer finishes, and trying again changes nothing); otherwise it
+// returns NoValue, whether or not the op started.
+func (s *scheduler) tryStart(oi int, cycle int) (waitOn program.ValueID) {
+	op := &s.g.Ops[oi]
 	st := &s.ops[oi]
 
 	// Dataflow readiness (cheap pre-checks before resource commitment).
@@ -141,41 +129,43 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		}
 		vs := &s.vals[ref]
 		if !vs.isConst && (!vs.alloc || vs.readyAt > cycle) {
-			if !vs.alloc && vs.spillSlot >= 0 {
+			if !vs.alloc {
+				if vs.spillSlot < 0 {
+					return ref
+				}
 				s.requestReload(ref)
 			}
-			return false
+			return program.NoValue
 		}
 	}
 	if op.MemPred != program.NoValue {
 		pst := &s.ops[op.MemPred]
 		if pst.tTrig < 0 {
-			return false
+			return program.NoValue
 		}
 	}
 
 	fu := s.fuFor(op.Op.Class(), cycle)
 	if fu == -1 {
-		return false
+		return program.NoValue
 	}
 
 	if op.Op == program.Load {
 		// Single move: address -> T (triggers the memory read).
 		if s.busFree < 1 || cycle < s.memReady {
-			return false
+			return program.NoValue
 		}
 		src, ok := s.sourceReadable(op.A, cycle)
 		if !ok {
-			return false
+			return program.NoValue
 		}
 		// The result register must be allocatable; the address read itself
 		// may be the event that frees one.
 		if !s.hasFreeReg() && !s.readWillFree(op.A) {
 			s.wantSpill = true
-			return false
+			return program.NoValue
 		}
-		c := &s.arch.Components[fu]
-		dst := Endpoint{Comp: fu, Port: portOf(c, tta.Trigger), Reg: -1}
+		dst := Endpoint{Comp: fu, Port: s.ports[fu].trigger, Reg: -1}
 		s.busFree--
 		s.commitRead(op.A, src)
 		resLoc, ok := s.allocReg(cycle)
@@ -190,28 +180,29 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		st.tFirstIn = cycle
 		st.tTrig = cycle
 		st.fu = fu
-		s.fuOf[program.ValueID(oi)] = fu
+		if s.full {
+			s.fuOf[program.ValueID(oi)] = fu
+		}
 		s.fuBusyBy[fu] = cycle + 1000000 // released by tryFinish
 		s.memReady = cycle + 1
-		return true
+		return program.NoValue
 	}
 
 	// Two-operand op: move A -> O.
 	if s.busFree < 1 {
-		return false
+		return program.NoValue
 	}
 	src, ok := s.sourceReadable(op.A, cycle)
 	if !ok {
-		return false
+		return program.NoValue
 	}
 	if op.Defines() && !s.hasFreeReg() && !s.readWillFree(op.A) {
 		// No room for the result: reading A won't free its register
 		// either. Starting now would wedge the function unit.
 		s.wantSpill = true
-		return false
+		return program.NoValue
 	}
-	c := &s.arch.Components[fu]
-	dst := Endpoint{Comp: fu, Port: portOf(c, tta.Operand), Reg: -1}
+	dst := Endpoint{Comp: fu, Port: s.ports[fu].operand, Reg: -1}
 	s.busFree--
 	s.commitRead(op.A, src)
 	if op.Defines() {
@@ -226,12 +217,14 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 	st.started = true
 	st.tFirstIn = cycle
 	st.fu = fu
-	s.fuOf[program.ValueID(oi)] = fu
+	if s.full {
+		s.fuOf[program.ValueID(oi)] = fu
+	}
 	s.fuBusyBy[fu] = cycle + 1000000
 
 	// Opportunistic same-cycle trigger (relation (2) allows C(T) == C(O)).
 	s.tryTrigger(oi, cycle)
-	return true
+	return program.NoValue
 }
 
 // tryTrigger schedules the trigger move of a started op.
@@ -255,8 +248,7 @@ func (s *scheduler) tryTrigger(oi int, cycle int) bool {
 		}
 		return false
 	}
-	c := &s.arch.Components[st.fu]
-	dst := Endpoint{Comp: st.fu, Port: portOf(c, tta.Trigger), Reg: -1}
+	dst := Endpoint{Comp: st.fu, Port: s.ports[st.fu].trigger, Reg: -1}
 	s.busFree--
 	s.commitRead(op.B, src)
 	s.emit(Move{Cycle: cycle, Src: src, Dst: dst,
@@ -300,9 +292,8 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 	}
 	s.rfWrites[rfComp]++
 	s.busFree--
-	fuC := &s.arch.Components[st.fu]
-	src := Endpoint{Comp: st.fu, Port: portOf(fuC, tta.Result), Reg: -1}
-	ins := c.InputPorts()
+	src := Endpoint{Comp: st.fu, Port: s.ports[st.fu].result, Reg: -1}
+	ins := s.ports[rfComp].in
 	dst := Endpoint{Comp: rfComp, Port: ins[(s.rfWrites[rfComp]-1)%len(ins)], Reg: st.resLoc.Reg}
 	s.emit(Move{Cycle: cycle, Src: src, Dst: dst,
 		Val: program.ValueID(oi), Op: program.ValueID(oi)})
@@ -311,23 +302,25 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 	vs.loc = st.resLoc
 	vs.readyAt = cycle + 1
 	vs.alloc = true
+	s.wake(program.ValueID(oi))
 	if vs.usesLeft == 0 {
 		// Dead value: release immediately after materialization.
 		s.freeReg(vs.loc)
 		vs.alloc = false
 	}
-	s.regAlloc[program.ValueID(oi)] = vs.loc
-
-	oT := st.tFirstIn + 1
-	if op.Op == program.Load {
-		oT = -1
-	}
-	s.timings[program.ValueID(oi)] = tta.OpTiming{
-		Fin:  st.tFirstIn,
-		O:    oT,
-		T:    st.tTrig + 1,
-		R:    st.tTrig + 2,
-		Fout: cycle,
+	if s.full {
+		s.regAlloc[program.ValueID(oi)] = vs.loc
+		oT := st.tFirstIn + 1
+		if op.Op == program.Load {
+			oT = -1
+		}
+		s.timings[program.ValueID(oi)] = tta.OpTiming{
+			Fin:  st.tFirstIn,
+			O:    oT,
+			T:    st.tTrig + 1,
+			R:    st.tTrig + 2,
+			Fout: cycle,
+		}
 	}
 	s.fuBusyBy[st.fu] = -1
 	st.done = true

@@ -23,7 +23,9 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/program"
@@ -129,6 +131,22 @@ func (r *Result) MovesPerCycle() []int {
 	return h
 }
 
+// Summary is the cost of a schedule without its move program — all the
+// design space exploration reads of most schedules.
+type Summary struct {
+	Cycles   int
+	Spills   int
+	Reloads  int
+	PeakLive int
+	Moves    int // number of moves in the program
+}
+
+// Summary returns the schedule's cost, as SummarizeContext reports it.
+func (r *Result) Summary() Summary {
+	return Summary{Cycles: r.Cycles, Spills: r.Spills, Reloads: r.Reloads,
+		PeakLive: r.PeakLive, Moves: len(r.Moves)}
+}
+
 // Priority selects the list-scheduling order.
 type Priority uint8
 
@@ -181,7 +199,6 @@ type valueState struct {
 }
 
 type opState struct {
-	id       program.ValueID
 	fu       int // component index executing the op
 	started  bool
 	tFirstIn int // bus cycle of the first input move
@@ -193,74 +210,194 @@ type opState struct {
 	resLoc RegLoc
 }
 
-// Schedule maps the graph onto the architecture. It returns an error when
-// the architecture cannot execute the graph (missing unit kinds, too few
-// registers) or when scheduling exceeds the cycle bound.
-//
-// Deprecated: Schedule is a thin shim over ScheduleContext with a
-// background context; a pathological schedule then cannot be cancelled.
-// Use ScheduleContext.
-func Schedule(g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
-	return ScheduleContext(context.Background(), g, arch, opts)
-}
-
-// ScheduleContext is Schedule with cancellation: the scheduling loop
-// checks ctx periodically and returns ctx.Err() when it is done, so a
-// pathological schedule inside a large exploration cannot outlive its
-// caller's deadline.
+// ScheduleContext maps the graph onto the architecture and returns the
+// complete move program. It returns an error when the architecture
+// cannot execute the graph (missing unit kinds, too few registers), when
+// scheduling exceeds the cycle bound, or ctx.Err() when ctx is done: the
+// scheduling loop polls ctx periodically, so a pathological schedule
+// inside a large exploration cannot outlive its caller's deadline.
 func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := newScheduler(g, arch, opts)
+	s, err := acquire(g, arch, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx)
+	defer s.release()
+	if err := s.run(ctx); err != nil {
+		return nil, err
+	}
+	// Every move is emitted at the current scheduling cycle, so Moves is
+	// already in cycle order.
+	return &Result{
+		Arch:     arch,
+		Graph:    g,
+		Moves:    s.moves,
+		Cycles:   s.cycles(),
+		Timings:  s.timings,
+		FUOf:     s.fuOf,
+		RegAlloc: s.regAlloc,
+		InputLoc: s.inputLoc,
+		PeakLive: s.peakLive,
+		Spills:   s.spillCount,
+		Reloads:  s.reloadCount,
+	}, nil
 }
+
+// SummarizeContext is ScheduleContext for callers that only need the
+// schedule's cost: it makes exactly the same scheduling decisions (and
+// reports the same sched.* metrics and errors) but materializes none of
+// the move program, so it allocates next to nothing per call. The
+// design space exploration screens candidates with it.
+func SummarizeContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (Summary, error) {
+	s, err := acquire(g, arch, opts, false)
+	if err != nil {
+		return Summary{}, err
+	}
+	defer s.release()
+	if err := s.run(ctx); err != nil {
+		return Summary{}, err
+	}
+	return Summary{
+		Cycles:   s.cycles(),
+		Spills:   s.spillCount,
+		Reloads:  s.reloadCount,
+		PeakLive: s.peakLive,
+		Moves:    s.nMoves,
+	}, nil
+}
+
+// compPorts caches one component's port indices for a schedule
+// (tta.Component.InputPorts/OutputPorts allocate on every call).
+type compPorts struct {
+	in, out                  []int
+	operand, trigger, result int // first port of each FU role, -1 if none
+}
+
+// graphPlan is the architecture-independent part of scheduling a graph:
+// the consumer lists, the critical-path order of the function-unit ops
+// and the op statistics. It is computed once per graph and kept with the
+// pooled scratch; ops and outputs are copies, compared on every lookup,
+// so a graph edited after scheduling never reuses a stale plan.
+type graphPlan struct {
+	width     int
+	ops       []program.Operation
+	outputs   []program.ValueID
+	stats     program.Stats
+	consumers [][]int32 // per value: consuming op indices (ascending)
+	fuOps     []int     // function-unit ops in program order
+	byHeight  []int     // fuOps in critical-path priority order
+	sourcePos []int32   // per op: its position in fuOps
+	heightPos []int32   // per op: its position in byHeight
+}
+
+func (p *graphPlan) matches(g *program.Graph) bool {
+	return p.width == g.Width && slices.Equal(p.ops, g.Ops) && slices.Equal(p.outputs, g.Outputs)
+}
+
+func newGraphPlan(g *program.Graph) *graphPlan {
+	p := &graphPlan{
+		width:     g.Width,
+		ops:       slices.Clone(g.Ops),
+		outputs:   slices.Clone(g.Outputs),
+		stats:     g.Stats(),
+		consumers: make([][]int32, len(g.Ops)),
+	}
+	for i, op := range g.Ops {
+		for _, ref := range []program.ValueID{op.A, op.B} {
+			if ref != program.NoValue {
+				p.consumers[ref] = append(p.consumers[ref], int32(i))
+			}
+		}
+		switch op.Op.Class() {
+		case program.ClassALU, program.ClassCMP, program.ClassMem:
+			p.fuOps = append(p.fuOps, i)
+		}
+	}
+	height := computeHeights(g)
+	p.byHeight = slices.Clone(p.fuOps)
+	sort.SliceStable(p.byHeight, func(a, b int) bool { return height[p.byHeight[a]] > height[p.byHeight[b]] })
+	p.sourcePos = make([]int32, len(g.Ops))
+	p.heightPos = make([]int32, len(g.Ops))
+	for pos, oi := range p.fuOps {
+		p.sourcePos[oi] = int32(pos)
+	}
+	for pos, oi := range p.byHeight {
+		p.heightPos[oi] = int32(pos)
+	}
+	return p
+}
+
+// planCacheSize bounds the graph plans one pooled scheduler keeps: a
+// worker usually schedules one kernel, a daemon a handful.
+const planCacheSize = 4
 
 type scheduler struct {
 	g    *program.Graph
 	arch *tta.Architecture
 	opts Options
+	full bool // materialize the move program (ScheduleContext)
 
-	height []int // critical-path priority per op
+	plan     *graphPlan
+	plans    [planCacheSize]*graphPlan
+	nextPlan int // round-robin replacement slot in plans
 
-	fuByKind map[tta.Kind][]int
-	rfs      []int // component indices of register files
-	imms     []int
-	rfFree   [][]bool // per RF: free register map
+	fuByKind  [][]int // indexed by tta.Kind
+	rfs       []int   // component indices of register files
+	imms      []int
+	rfIndex   []int    // per component: position in rfs (-1 = not an RF)
+	rfFree    [][]bool // per RF: free register map
+	rfFreeBuf []bool
+	rfFreeN   []int // per RF: free register count
+	totalRegs int
+	ports     []compPorts
+	portBuf   []int
 
 	vals     []valueState
 	ops      []opState
 	fuBusyBy []int // per component: cycle until which the FU is busy (-1 free)
 
-	// Per-cycle resource counters (reset each cycle).
+	// Per-cycle resource counters, per component (cleared each cycle).
 	busFree  int
-	rfReads  map[int]int
-	rfWrites map[int]int
-	immUsed  map[int]int
+	rfReads  []int
+	rfWrites []int
+	immUsed  []int
 
-	moves    []Move
-	timings  map[program.ValueID]tta.OpTiming
-	fuOf     map[program.ValueID]int
-	regAlloc map[program.ValueID]RegLoc
-	inputLoc map[program.ValueID]RegLoc
-	live     int
-	peakLive int
+	pendings []int
+	inflight []int
+	// An op whose operand is not produced yet sleeps on that value
+	// rather than being retried every cycle: sleepHead[v] starts a list
+	// of sleeping ops threaded through sleepNext (-1 ends it), and
+	// sleepOn[op] is the value an op sleeps on (-1 = awake). Producing v
+	// moves its sleepers to woken, which rejoins the pending list in
+	// priority order before the next start phase. Sleeping never changes
+	// the schedule: a retry of a sleeping op would fail before touching
+	// any state — unless an operand it already passed is evicted, which
+	// is why evicting a value wakes its consumers (a retry then requests
+	// the reload, exactly as it does for an op that never slept).
+	sleepHead []int32
+	sleepNext []int32
+	sleepOn   []int32
+	woken     []int
+	merged    []int
+	rank      []int32 // per op: position in the pending order
+
+	// The move program (full mode only) and its summary (both modes).
+	moves     []Move
+	nMoves    int
+	lastCycle int
+	timings   map[program.ValueID]tta.OpTiming
+	fuOf      map[program.ValueID]int
+	regAlloc  map[program.ValueID]RegLoc
+	inputLoc  map[program.ValueID]RegLoc
+	live      int
+	peakLive  int
 
 	memReady int // earliest cycle the next memory op may trigger
-	lastMem  program.ValueID
 
 	// Spill machinery.
-	spills      []*spillJob
+	spills      []spillJob
 	spillSlots  int
 	spillCount  int // total spill stores emitted
 	reloadCount int
-	consumers   [][]int32 // per value: consuming op indices (ascending)
 	stallStreak int
 	stallTotal  int // cycles in which no move was emitted
 	movedNow    bool
@@ -270,70 +407,210 @@ type scheduler struct {
 	wantSpill bool
 }
 
-func newScheduler(g *program.Graph, arch *tta.Architecture, opts Options) (*scheduler, error) {
-	s := &scheduler{
-		g:        g,
-		arch:     arch,
-		opts:     opts,
-		fuByKind: map[tta.Kind][]int{},
-		timings:  map[program.ValueID]tta.OpTiming{},
-		fuOf:     map[program.ValueID]int{},
-		regAlloc: map[program.ValueID]RegLoc{},
-		inputLoc: map[program.ValueID]RegLoc{},
+// schedulers pools scheduler scratch across calls: an exploration
+// schedules thousands of candidates, and the per-schedule slices (value
+// and op state, resource counters, pending lists) would otherwise be
+// reallocated for each one.
+var schedulers = sync.Pool{New: func() any { return new(scheduler) }}
+
+// acquire validates the inputs and returns a pooled scheduler prepared
+// for one schedule of g on arch; the caller must release it.
+func acquire(g *program.Graph, arch *tta.Architecture, opts Options, full bool) (*scheduler, error) {
+	s := schedulers.Get().(*scheduler)
+	if err := s.reset(g, arch, opts, full); err != nil {
+		s.release()
+		return nil, err
 	}
+	return s, nil
+}
+
+// release returns the scheduler to the pool. The move program and maps
+// belong to the caller's Result by now, so the pool forgets them, and
+// it drops the architecture and graph so they are not kept alive.
+func (s *scheduler) release() {
+	s.g, s.arch, s.opts = nil, nil, Options{}
+	s.moves, s.timings, s.fuOf, s.regAlloc, s.inputLoc = nil, nil, nil, nil, nil
+	s.plan, s.rank = nil, nil
+	schedulers.Put(s)
+}
+
+// lookupPlan returns the cached plan of g, building (and validating) it
+// on a miss. A hit implies g passed Validate before.
+func (s *scheduler) lookupPlan(g *program.Graph) (*graphPlan, error) {
+	for _, p := range s.plans {
+		if p != nil && p.matches(g) {
+			return p, nil
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	p := newGraphPlan(g)
+	s.plans[s.nextPlan] = p
+	s.nextPlan = (s.nextPlan + 1) % planCacheSize
+	return p, nil
+}
+
+// grow returns buf resized to n, reusing its capacity.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options, full bool) error {
+	plan, err := s.lookupPlan(g)
+	if err != nil {
+		return err
+	}
+	if err := arch.Validate(); err != nil {
+		return err
+	}
+	s.g, s.arch, s.opts, s.full, s.plan = g, arch, opts, full, plan
+
+	nc := len(arch.Components)
+	for k := range s.fuByKind {
+		s.fuByKind[k] = s.fuByKind[k][:0]
+	}
+	s.rfs, s.imms = s.rfs[:0], s.imms[:0]
+	s.rfIndex = grow(s.rfIndex, nc)
+	s.ports = grow(s.ports, nc)
+	nPorts := 0
+	for ci := range arch.Components {
+		nPorts += len(arch.Components[ci].Ports)
+	}
+	// Sized up front, so the port lists sliced from it stay valid.
+	ports := grow(s.portBuf, nPorts)[:0]
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
+		s.rfIndex[ci] = -1
 		switch c.Kind {
 		case tta.RF:
+			s.rfIndex[ci] = len(s.rfs)
 			s.rfs = append(s.rfs, ci)
 		case tta.IMM:
 			s.imms = append(s.imms, ci)
 		default:
+			for int(c.Kind) >= len(s.fuByKind) {
+				s.fuByKind = append(s.fuByKind, nil)
+			}
 			s.fuByKind[c.Kind] = append(s.fuByKind[c.Kind], ci)
 		}
-	}
-	st := g.Stats()
-	if st.ALU > 0 && len(s.fuByKind[tta.ALU]) == 0 {
-		return nil, fmt.Errorf("sched: graph needs an ALU, architecture has none")
-	}
-	if st.CMP > 0 && len(s.fuByKind[tta.CMP]) == 0 {
-		return nil, fmt.Errorf("sched: graph needs a CMP unit, architecture has none")
-	}
-	if st.Loads+st.Stores > 0 && len(s.fuByKind[tta.LDST]) == 0 {
-		return nil, fmt.Errorf("sched: graph needs a LD/ST unit, architecture has none")
-	}
-	if st.Consts > 0 && len(s.imms) == 0 {
-		return nil, fmt.Errorf("sched: graph needs an Immediate unit, architecture has none")
-	}
-	if len(s.rfs) == 0 {
-		return nil, fmt.Errorf("sched: architecture has no register file")
-	}
-	totalRegs := 0
-	for _, rf := range s.rfs {
-		totalRegs += arch.Components[rf].NumRegs
-	}
-	if totalRegs < st.Inputs+st.Outputs {
-		return nil, fmt.Errorf("sched: %d registers cannot hold %d inputs + %d outputs",
-			totalRegs, st.Inputs, st.Outputs)
-	}
-
-	s.rfFree = make([][]bool, len(s.rfs))
-	for i, rf := range s.rfs {
-		s.rfFree[i] = make([]bool, arch.Components[rf].NumRegs)
-		for j := range s.rfFree[i] {
-			s.rfFree[i][j] = true
+		in := len(ports)
+		for i, p := range c.Ports {
+			if p.Role.IsInput() {
+				ports = append(ports, i)
+			}
+		}
+		out := len(ports)
+		for i, p := range c.Ports {
+			if !p.Role.IsInput() {
+				ports = append(ports, i)
+			}
+		}
+		s.ports[ci] = compPorts{
+			in:      ports[in:out:out],
+			out:     ports[out:len(ports):len(ports)],
+			operand: portOf(c, tta.Operand),
+			trigger: portOf(c, tta.Trigger),
+			result:  portOf(c, tta.Result),
 		}
 	}
-	s.fuBusyBy = make([]int, len(arch.Components))
+	s.portBuf = ports
+
+	st := &plan.stats
+	if st.ALU > 0 && len(s.fusOf(tta.ALU)) == 0 {
+		return fmt.Errorf("sched: graph needs an ALU, architecture has none")
+	}
+	if st.CMP > 0 && len(s.fusOf(tta.CMP)) == 0 {
+		return fmt.Errorf("sched: graph needs a CMP unit, architecture has none")
+	}
+	if st.Loads+st.Stores > 0 && len(s.fusOf(tta.LDST)) == 0 {
+		return fmt.Errorf("sched: graph needs a LD/ST unit, architecture has none")
+	}
+	if st.Consts > 0 && len(s.imms) == 0 {
+		return fmt.Errorf("sched: graph needs an Immediate unit, architecture has none")
+	}
+	if len(s.rfs) == 0 {
+		return fmt.Errorf("sched: architecture has no register file")
+	}
+	s.totalRegs = 0
+	for _, rf := range s.rfs {
+		s.totalRegs += arch.Components[rf].NumRegs
+	}
+	if s.totalRegs < st.Inputs+st.Outputs {
+		return fmt.Errorf("sched: %d registers cannot hold %d inputs + %d outputs",
+			s.totalRegs, st.Inputs, st.Outputs)
+	}
+
+	s.rfFreeBuf = grow(s.rfFreeBuf, s.totalRegs)
+	for i := range s.rfFreeBuf {
+		s.rfFreeBuf[i] = true
+	}
+	s.rfFree = grow(s.rfFree, len(s.rfs))
+	s.rfFreeN = grow(s.rfFreeN, len(s.rfs))
+	off := 0
+	for i, rf := range s.rfs {
+		n := arch.Components[rf].NumRegs
+		s.rfFree[i] = s.rfFreeBuf[off : off+n : off+n]
+		s.rfFreeN[i] = n
+		off += n
+	}
+	s.fuBusyBy = grow(s.fuBusyBy, nc)
 	for i := range s.fuBusyBy {
 		s.fuBusyBy[i] = -1
 	}
-	s.height = computeHeights(g)
-	s.vals = make([]valueState, len(g.Ops))
-	s.ops = make([]opState, len(g.Ops))
+	s.rfReads = grow(s.rfReads, nc)
+	s.rfWrites = grow(s.rfWrites, nc)
+	s.immUsed = grow(s.immUsed, nc)
+
+	n := len(g.Ops)
+	s.vals = grow(s.vals, n)
+	clear(s.vals)
+	s.ops = grow(s.ops, n) // run initializes every op
+	s.sleepHead = grow(s.sleepHead, n)
+	for i := range s.sleepHead {
+		s.sleepHead[i] = -1
+	}
+	s.sleepNext = grow(s.sleepNext, n)
+	s.sleepOn = grow(s.sleepOn, n)
+	for i := range s.sleepOn {
+		s.sleepOn[i] = -1
+	}
+	s.woken = s.woken[:0]
+
+	if full {
+		s.timings = map[program.ValueID]tta.OpTiming{}
+		s.fuOf = map[program.ValueID]int{}
+		s.regAlloc = map[program.ValueID]RegLoc{}
+		s.inputLoc = map[program.ValueID]RegLoc{}
+	}
+	s.nMoves, s.lastCycle = 0, 0
+	s.live, s.peakLive = 0, 0
 	s.memReady = 0
-	s.lastMem = program.NoValue
-	return s, nil
+	s.spills = s.spills[:0]
+	s.spillSlots, s.spillCount, s.reloadCount = 0, 0, 0
+	s.stallStreak, s.stallTotal = 0, 0
+	s.movedNow, s.wantSpill = false, false
+	return nil
+}
+
+// fusOf returns the function units of one kind.
+func (s *scheduler) fusOf(k tta.Kind) []int {
+	if int(k) < len(s.fuByKind) {
+		return s.fuByKind[k]
+	}
+	return nil
+}
+
+// cycles is the schedule length: the last bus cycle plus the register
+// load cycle after it (0 for an empty program).
+func (s *scheduler) cycles() int {
+	if s.nMoves == 0 {
+		return 0
+	}
+	return s.lastCycle + 1
 }
 
 // computeHeights returns the longest path (in ops) from each op to a
@@ -365,27 +642,17 @@ func computeHeights(g *program.Graph) []int {
 // off the per-cycle fast path.
 const ctxCheckInterval = 64
 
-func (s *scheduler) run(ctx context.Context) (*Result, error) {
+func (s *scheduler) run(ctx context.Context) error {
 	g := s.g
 	// Count uses so registers can be freed after the last read.
 	for i := range s.vals {
 		s.vals[i].loc = RegLoc{-1, -1}
-	}
-	s.consumers = make([][]int32, len(g.Ops))
-	for i, op := range g.Ops {
-		for _, ref := range []program.ValueID{op.A, op.B} {
-			if ref != program.NoValue {
-				s.vals[ref].usesLeft++
-				s.consumers[ref] = append(s.consumers[ref], int32(i))
-			}
-		}
+		s.vals[i].usesLeft = len(s.plan.consumers[i])
+		s.vals[i].spillSlot = -1
 	}
 	for _, o := range g.Outputs {
 		s.vals[o].usesLeft++ // outputs stay live forever
 		s.vals[o].isOutput = true
-	}
-	for i := range s.vals {
-		s.vals[i].spillSlot = -1
 	}
 
 	// Place inputs and constants.
@@ -394,33 +661,32 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		case program.Input:
 			loc, ok := s.allocReg(0)
 			if !ok {
-				return nil, fmt.Errorf("sched: not enough registers for program inputs")
+				return fmt.Errorf("sched: not enough registers for program inputs")
 			}
 			s.vals[i].loc = loc
 			s.vals[i].readyAt = 0
 			s.vals[i].alloc = true
-			s.regAlloc[program.ValueID(i)] = loc
-			s.inputLoc[program.ValueID(i)] = loc
+			if s.full {
+				s.regAlloc[program.ValueID(i)] = loc
+				s.inputLoc[program.ValueID(i)] = loc
+			}
 		case program.Const:
 			s.vals[i].isConst = true
 			s.vals[i].constVal = op.Imm
 			s.vals[i].readyAt = 0
 		}
-		s.ops[i] = opState{id: program.ValueID(i), fu: -1, tTrig: -1, resLoc: RegLoc{-1, -1}}
+		s.ops[i] = opState{fu: -1, tTrig: -1, resLoc: RegLoc{-1, -1}, done: true}
 	}
 
 	// Pending FU operations in priority order.
-	var pendings []int
-	for i, op := range g.Ops {
-		switch op.Op.Class() {
-		case program.ClassALU, program.ClassCMP, program.ClassMem:
-			pendings = append(pendings, i)
-		default:
-			s.ops[i].done = true
-		}
-	}
+	order := s.plan.fuOps
+	s.rank = s.plan.sourcePos
 	if s.opts.Priority == CriticalPath {
-		sort.SliceStable(pendings, func(a, b int) bool { return s.height[pendings[a]] > s.height[pendings[b]] })
+		order, s.rank = s.plan.byHeight, s.plan.heightPos
+	}
+	pendings := append(s.pendings[:0], order...)
+	for _, oi := range pendings {
+		s.ops[oi].done = false
 	}
 
 	maxCycles := s.opts.MaxCycles
@@ -429,13 +695,14 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 	}
 
 	remaining := len(pendings)
-	var inflight []int
+	inflight := s.inflight[:0]
+	defer func() { s.pendings, s.inflight = pendings[:0], inflight[:0] }()
 	cycle := 0
 	if r := s.opts.Obs; r != nil {
 		defer func() {
 			r.Counter("sched.runs").Inc()
 			r.Counter("sched.cycles").Add(int64(cycle))
-			r.Counter("sched.moves").Add(int64(len(s.moves)))
+			r.Counter("sched.moves").Add(int64(s.nMoves))
 			r.Counter("sched.spills").Add(int64(s.spillCount))
 			r.Counter("sched.reloads").Add(int64(s.reloadCount))
 			r.Counter("sched.stall_cycles").Add(int64(s.stallTotal))
@@ -444,11 +711,11 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 	for remaining > 0 {
 		if cycle%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if cycle > maxCycles {
-			return nil, fmt.Errorf("sched: no convergence after %d cycles (%d ops left; register pressure?)",
+			return fmt.Errorf("sched: no convergence after %d cycles (%d ops left; register pressure?)",
 				cycle, remaining)
 		}
 		s.resetCycle()
@@ -475,6 +742,7 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		inflight = keep
 		// Phase 2: start ready ops by priority (inflight ops were handled
 		// above; newly started ops join the in-flight set).
+		pendings = s.mergeWoken(pendings)
 		if s.busFree > 0 {
 			kept := pendings[:0]
 			for _, oi := range pendings {
@@ -483,7 +751,10 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 					continue // moved to inflight in an earlier cycle
 				}
 				if s.busFree > 0 {
-					s.tryStart(oi, cycle)
+					if v := s.tryStart(oi, cycle); v != program.NoValue {
+						s.sleep(oi, v)
+						continue
+					}
 				}
 				if st.started {
 					// Stores whose trigger landed in the same cycle may
@@ -513,39 +784,79 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 			s.stallTotal++
 			if s.stallStreak >= 4 {
 				if !s.maybeSpill(cycle) && s.spillsIdle() && s.stallStreak > 8 {
-					return nil, fmt.Errorf("sched: starved at cycle %d (%d ops left, %d live registers, no spillable victim)",
+					return fmt.Errorf("sched: starved at cycle %d (%d ops left, %d live registers, no spillable victim)",
 						cycle, remaining, s.live)
 				}
 			}
 		}
 		cycle++
 	}
+	return nil
+}
 
-	res := &Result{
-		Arch:     s.arch,
-		Graph:    g,
-		Moves:    s.moves,
-		Timings:  s.timings,
-		FUOf:     s.fuOf,
-		RegAlloc: s.regAlloc,
-		InputLoc: s.inputLoc,
-		PeakLive: s.peakLive,
-		Spills:   s.spillCount,
-		Reloads:  s.reloadCount,
+// sleep parks op oi until value v is produced.
+func (s *scheduler) sleep(oi int, v program.ValueID) {
+	s.sleepNext[oi] = s.sleepHead[v]
+	s.sleepHead[v] = int32(oi)
+	s.sleepOn[oi] = int32(v)
+}
+
+// wake releases the ops sleeping on v, which has just been produced.
+func (s *scheduler) wake(v program.ValueID) {
+	for oi := s.sleepHead[v]; oi >= 0; oi = s.sleepNext[oi] {
+		s.sleepOn[oi] = -1
+		s.woken = append(s.woken, int(oi))
 	}
-	for _, m := range s.moves {
-		// Last bus cycle + the register-load cycle after it.
-		if m.Cycle+1 > res.Cycles {
-			res.Cycles = m.Cycle + 1
+	s.sleepHead[v] = -1
+}
+
+// evicted wakes the sleeping consumers of v, whose register copy has
+// just been dropped.
+func (s *scheduler) evicted(v program.ValueID) {
+	for _, c := range s.plan.consumers[v] {
+		w := s.sleepOn[c]
+		if w < 0 {
+			continue
+		}
+		p := &s.sleepHead[w]
+		for *p != c {
+			p = &s.sleepNext[*p]
+		}
+		*p = s.sleepNext[c]
+		s.sleepOn[c] = -1
+		s.woken = append(s.woken, int(c))
+	}
+}
+
+// mergeWoken returns pendings with the woken ops merged back in
+// priority order. pendings and s.merged swap buffers.
+func (s *scheduler) mergeWoken(pendings []int) []int {
+	if len(s.woken) == 0 {
+		return pendings
+	}
+	rank := s.rank
+	slices.SortFunc(s.woken, func(a, b int) int { return int(rank[a] - rank[b]) })
+	out := s.merged[:0]
+	i, j := 0, 0
+	for i < len(pendings) && j < len(s.woken) {
+		if rank[pendings[i]] < rank[s.woken[j]] {
+			out = append(out, pendings[i])
+			i++
+		} else {
+			out = append(out, s.woken[j])
+			j++
 		}
 	}
-	sort.SliceStable(res.Moves, func(a, b int) bool { return res.Moves[a].Cycle < res.Moves[b].Cycle })
-	return res, nil
+	out = append(out, pendings[i:]...)
+	out = append(out, s.woken[j:]...)
+	s.merged = pendings[:0]
+	s.woken = s.woken[:0]
+	return out
 }
 
 func (s *scheduler) resetCycle() {
 	s.busFree = s.arch.Buses
-	s.rfReads = map[int]int{}
-	s.rfWrites = map[int]int{}
-	s.immUsed = map[int]int{}
+	clear(s.rfReads)
+	clear(s.rfWrites)
+	clear(s.immUsed)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func parallelGraph(n int) *program.Graph {
 
 func TestScheduleChainRespectsTimingRelations(t *testing.T) {
 	g := chainGraph(10)
-	res, err := Schedule(g, simpleArch(2), Options{})
+	res, err := ScheduleContext(context.Background(), g, simpleArch(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestScheduleChainRespectsTimingRelations(t *testing.T) {
 func TestScheduleBusCapacityNeverExceeded(t *testing.T) {
 	for _, buses := range []int{1, 2, 3} {
 		g := parallelGraph(12)
-		res, err := Schedule(g, simpleArch(buses), Options{})
+		res, err := ScheduleContext(context.Background(), g, simpleArch(buses), Options{})
 		if err != nil {
 			t.Fatalf("buses=%d: %v", buses, err)
 		}
@@ -103,7 +104,7 @@ func TestMoreBusesNeverSlowerOnParallelWork(t *testing.T) {
 
 func mustCycles(t *testing.T, g *program.Graph, a *tta.Architecture) int {
 	t.Helper()
-	res, err := Schedule(g, a, Options{})
+	res, err := ScheduleContext(context.Background(), g, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestChainLengthDominatesChainSchedule(t *testing.T) {
 	// resources.
 	g := chainGraph(8)
 	rich := simpleArch(4)
-	res, err := Schedule(g, rich, Options{})
+	res, err := ScheduleContext(context.Background(), g, rich, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestMissingUnitsRejected(t *testing.T) {
 	g := program.NewGraph("cmpy", 16)
 	a := g.In()
 	g.Output(g.Eq(a, a))
-	if _, err := Schedule(g, noCmp, Options{}); err == nil || !strings.Contains(err.Error(), "CMP") {
+	if _, err := ScheduleContext(context.Background(), g, noCmp, Options{}); err == nil || !strings.Contains(err.Error(), "CMP") {
 		t.Fatalf("missing CMP not reported: %v", err)
 	}
 
@@ -162,7 +163,7 @@ func TestMissingUnitsRejected(t *testing.T) {
 		Components: []tta.Component{tta.NewFU(tta.ALU, "ALU"), tta.NewIMM("IMM")},
 	}
 	tta.AssignPorts(noRF, tta.SpreadFirst)
-	if _, err := Schedule(g2, noRF, Options{}); err == nil {
+	if _, err := ScheduleContext(context.Background(), g2, noRF, Options{}); err == nil {
 		t.Fatal("missing RF accepted")
 	}
 }
@@ -187,7 +188,7 @@ func TestTooFewRegistersRejected(t *testing.T) {
 		acc = g.Add(acc, v)
 	}
 	g.Output(acc)
-	if _, err := Schedule(g, tiny, Options{}); err == nil {
+	if _, err := ScheduleContext(context.Background(), g, tiny, Options{}); err == nil {
 		t.Fatal("6 inputs into a 2-register file accepted")
 	}
 }
@@ -202,7 +203,7 @@ func TestRegisterPressureIncreasesCycles(t *testing.T) {
 	small.Components[3] = tta.NewRF("RF2", 3, 1, 1)
 	tta.AssignPorts(small, tta.SpreadFirst)
 	big := simpleArch(2)
-	resSmall, err := Schedule(g, small, Options{})
+	resSmall, err := ScheduleContext(context.Background(), g, small, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestScheduleStoreThenLoadOrdering(t *testing.T) {
 	ld := g.Load(addr)
 	g.Output(ld)
 	_ = st
-	res, err := Schedule(g, simpleArch(2), Options{})
+	res, err := ScheduleContext(context.Background(), g, simpleArch(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +251,11 @@ func TestScheduleStoreThenLoadOrdering(t *testing.T) {
 
 func TestDeterministicSchedules(t *testing.T) {
 	g := parallelGraph(10)
-	r1, err := Schedule(g, simpleArch(2), Options{})
+	r1, err := ScheduleContext(context.Background(), g, simpleArch(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Schedule(g, simpleArch(2), Options{})
+	r2, err := ScheduleContext(context.Background(), g, simpleArch(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestDeterministicSchedules(t *testing.T) {
 func TestPeakLiveWithinCapacity(t *testing.T) {
 	g := parallelGraph(12)
 	arch := simpleArch(2)
-	res, err := Schedule(g, arch, Options{})
+	res, err := ScheduleContext(context.Background(), g, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestFuzzSchedulesAreWellFormed(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := randomGraph(rng, 30+rng.Intn(40))
 		arch := simpleArch(1 + rng.Intn(3))
-		res, err := Schedule(g, arch, Options{})
+		res, err := ScheduleContext(context.Background(), g, arch, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -348,7 +349,7 @@ func TestCheckAcceptsAllFuzzSchedules(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := randomGraph(rng, 30+rng.Intn(50))
 		arch := simpleArch(1 + rng.Intn(3))
-		res, err := Schedule(g, arch, Options{})
+		res, err := ScheduleContext(context.Background(), g, arch, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -361,7 +362,7 @@ func TestCheckAcceptsAllFuzzSchedules(t *testing.T) {
 func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 	g := parallelGraph(10)
 	arch := simpleArch(2)
-	res, err := Schedule(g, arch, Options{})
+	res, err := ScheduleContext(context.Background(), g, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestDegenerateGraphs(t *testing.T) {
 	g := program.NewGraph("pass", 16)
 	a := g.In()
 	g.Output(a)
-	res, err := Schedule(g, arch, Options{})
+	res, err := ScheduleContext(context.Background(), g, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func TestDegenerateGraphs(t *testing.T) {
 	x := g2.In()
 	g2.Add(x, x) // result never used
 	g2.Output(x)
-	res2, err := Schedule(g2, arch, Options{})
+	res2, err := ScheduleContext(context.Background(), g2, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestDegenerateGraphs(t *testing.T) {
 	g3 := program.NewGraph("dup", 16)
 	y := g3.In()
 	g3.Output(g3.Xor(y, y))
-	res3, err := Schedule(g3, arch, Options{})
+	res3, err := ScheduleContext(context.Background(), g3, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +451,7 @@ func TestDegenerateGraphs(t *testing.T) {
 
 	// Empty graph (no ops at all).
 	g4 := program.NewGraph("empty", 16)
-	if _, err := Schedule(g4, arch, Options{}); err != nil {
+	if _, err := ScheduleContext(context.Background(), g4, arch, Options{}); err != nil {
 		t.Fatalf("empty graph rejected: %v", err)
 	}
 }
@@ -460,7 +461,7 @@ func TestDegenerateGraphsSimulate(t *testing.T) {
 	g := program.NewGraph("dup", 16)
 	y := g.In()
 	g.Output(g.Xor(y, y))
-	res, err := Schedule(g, arch, Options{})
+	res, err := ScheduleContext(context.Background(), g, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,21 @@ type spillJob struct {
 	done   bool
 }
 
-// emit appends a move and records cycle progress.
+// emit records a move: appended to the program in full mode, counted
+// (with its cycle, which never decreases) in both modes.
 func (s *scheduler) emit(m Move) {
-	s.moves = append(s.moves, m)
+	if s.full {
+		s.moves = append(s.moves, m)
+	}
+	s.nMoves++
+	s.lastCycle = m.Cycle
 	s.movedNow = true
 }
 
 // spillsIdle reports whether no spill job is outstanding.
 func (s *scheduler) spillsIdle() bool {
-	for _, j := range s.spills {
-		if !j.done {
+	for i := range s.spills {
+		if !s.spills[i].done {
 			return false
 		}
 	}
@@ -46,8 +51,7 @@ func spillAddr(slot int) uint64 { return SpillBase + uint64(slot) }
 func (s *scheduler) immSource(v uint64) (Endpoint, bool) {
 	for _, imm := range s.imms {
 		if s.immUsed[imm] == 0 {
-			c := &s.arch.Components[imm]
-			return Endpoint{Comp: imm, Port: c.OutputPorts()[0], Reg: -1, Imm: v}, true
+			return Endpoint{Comp: imm, Port: s.ports[imm].out[0], Reg: -1, Imm: v}, true
 		}
 	}
 	return Endpoint{}, false
@@ -61,7 +65,7 @@ func (s *scheduler) requestReload(v program.ValueID) {
 		return
 	}
 	vs.loadPending = true
-	s.spills = append(s.spills, &spillJob{val: v, isLoad: true, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
+	s.spills = append(s.spills, spillJob{val: v, isLoad: true, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
 	s.reloadCount++
 }
 
@@ -70,7 +74,8 @@ func (s *scheduler) requestReload(v program.ValueID) {
 // pending operations claim result registers first and reloads cannot
 // starve them).
 func (s *scheduler) stepSpills(cycle int, loads bool) {
-	for _, j := range s.spills {
+	for i := range s.spills {
+		j := &s.spills[i]
 		if j.done || j.isLoad != loads {
 			continue
 		}
@@ -93,16 +98,7 @@ func (s *scheduler) stepSpills(cycle int, loads bool) {
 }
 
 // hasFreeReg reports whether any register file has a free register.
-func (s *scheduler) hasFreeReg() bool {
-	for i := range s.rfFree {
-		for _, f := range s.rfFree[i] {
-			if f {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (s *scheduler) hasFreeReg() bool { return s.live < s.totalRegs }
 
 // readWillFree reports whether reading value v (once) releases its
 // register.
@@ -133,7 +129,7 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 			return
 		}
 		fu := -1
-		for _, cand := range s.fuByKind[tta.LDST] {
+		for _, cand := range s.fusOf(tta.LDST) {
 			if s.fuBusyBy[cand] < cycle {
 				fu = cand
 				break
@@ -146,11 +142,10 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		if !ok {
 			return
 		}
-		c := &s.arch.Components[fu]
 		s.busFree--
 		s.immUsed[src.Comp]++
 		s.emit(Move{Cycle: cycle, Src: src,
-			Dst: Endpoint{Comp: fu, Port: portOf(c, tta.Operand), Reg: -1},
+			Dst: Endpoint{Comp: fu, Port: s.ports[fu].operand, Reg: -1},
 			Val: program.NoValue, Op: program.NoValue, Spill: SpillStoreAddr})
 		j.fu = fu
 		j.tAddr = cycle
@@ -167,19 +162,19 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		if s.rfReads[rf] >= c.NumOut {
 			return
 		}
-		outs := c.OutputPorts()
+		outs := s.ports[rf].out
 		src := Endpoint{Comp: rf, Port: outs[s.rfReads[rf]%len(outs)], Reg: vs.loc.Reg}
 		s.rfReads[rf]++
 		s.busFree--
-		fuC := &s.arch.Components[j.fu]
 		s.emit(Move{Cycle: cycle, Src: src,
-			Dst: Endpoint{Comp: j.fu, Port: portOf(fuC, tta.Trigger), Reg: -1},
+			Dst: Endpoint{Comp: j.fu, Port: s.ports[j.fu].trigger, Reg: -1},
 			Val: j.val, Op: program.NoValue, Trigger: true, Spill: SpillStoreData})
 		j.tTrig = cycle
 		// The register copy is gone after this cycle's read; the memory
 		// copy becomes usable once the write commits.
 		s.freeReg(vs.loc)
 		vs.alloc = false
+		s.evicted(j.val)
 		vs.spillValid = true
 		vs.spillReadyAt = cycle + 1
 		return
@@ -200,7 +195,7 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 			return
 		}
 		fu := -1
-		for _, cand := range s.fuByKind[tta.LDST] {
+		for _, cand := range s.fusOf(tta.LDST) {
 			if s.fuBusyBy[cand] < cycle {
 				fu = cand
 				break
@@ -217,11 +212,10 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 		if !ok {
 			return // a future maybeSpill will free capacity
 		}
-		c := &s.arch.Components[fu]
 		s.busFree--
 		s.immUsed[src.Comp]++
 		s.emit(Move{Cycle: cycle, Src: src,
-			Dst: Endpoint{Comp: fu, Port: portOf(c, tta.Trigger), Reg: -1},
+			Dst: Endpoint{Comp: fu, Port: s.ports[fu].trigger, Reg: -1},
 			Val: program.NoValue, Op: program.NoValue, Trigger: true, Spill: SpillLoadTrig})
 		j.fu = fu
 		j.tTrig = cycle
@@ -240,18 +234,20 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 	}
 	s.rfWrites[rf]++
 	s.busFree--
-	fuC := &s.arch.Components[j.fu]
-	ins := c.InputPorts()
+	ins := s.ports[rf].in
 	s.emit(Move{Cycle: cycle,
-		Src: Endpoint{Comp: j.fu, Port: portOf(fuC, tta.Result), Reg: -1},
+		Src: Endpoint{Comp: j.fu, Port: s.ports[j.fu].result, Reg: -1},
 		Dst: Endpoint{Comp: rf, Port: ins[(s.rfWrites[rf]-1)%len(ins)], Reg: j.resLoc.Reg},
 		Val: j.val, Op: program.NoValue, Spill: SpillLoadResult})
 	vs.loc = j.resLoc
 	vs.readyAt = cycle + 1
 	vs.alloc = true
+	s.wake(j.val)
 	vs.loadPending = false
 	vs.noEvictUntil = cycle + 16
-	s.regAlloc[j.val] = vs.loc
+	if s.full {
+		s.regAlloc[j.val] = vs.loc
+	}
 	s.fuBusyBy[j.fu] = -1
 	j.done = true
 }
@@ -263,8 +259,8 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 func (s *scheduler) maybeSpill(cycle int) bool {
 	// At most one spill store in flight keeps the LD/ST unit available for
 	// program memory traffic.
-	for _, j := range s.spills {
-		if !j.done && !j.isLoad {
+	for i := range s.spills {
+		if j := &s.spills[i]; !j.done && !j.isLoad {
 			return false
 		}
 	}
@@ -290,12 +286,13 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 		// change); just drop the register.
 		s.freeReg(vs.loc)
 		vs.alloc = false
+		s.evicted(victim)
 		return true
 	}
 	vs.spillSlot = s.spillSlots
 	s.spillSlots++
 	s.spillCount++
-	s.spills = append(s.spills, &spillJob{val: victim, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
+	s.spills = append(s.spills, spillJob{val: victim, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
 	return true
 }
 
@@ -303,7 +300,7 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 // started yet (a large sentinel when every consumer is done — should not
 // happen for values with usesLeft > 0 unless the value is an output).
 func (s *scheduler) nextUnstartedUse(v program.ValueID) int {
-	for _, c := range s.consumers[v] {
+	for _, c := range s.plan.consumers[v] {
 		st := &s.ops[c]
 		if st.done {
 			continue

@@ -188,13 +188,23 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the server registry's snapshot with the per-job
 // exploration metrics folded in: the streaming-front counters
-// (pareto.stream.*) and the shard fan-out counters (dse.shard.*) live
-// on each job's own registry, so the server-wide view sums them across
-// jobs (counters and gauges alike — the workers gauge then reads as
-// "live shard workers, all jobs").
+// (pareto.stream.*), the shard fan-out counters (dse.shard.*) and the
+// durability counters (durability.*) live on each job's own registry,
+// so the server-wide view sums them across jobs (counters and gauges
+// alike — the workers gauge then reads as "live shard workers, all
+// jobs"). Counters of jobs evicted from the table stay in the sums;
+// their gauges drop out, since a finished job has no live state.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.reg.Snapshot()
-	for _, job := range s.Jobs() {
+	// Read the evicted totals and the job list together: a job evicted
+	// after this point is counted through its own registry instead.
+	s.mu.Lock()
+	for name, v := range s.evicted {
+		snap.Counters[name] += v
+	}
+	jobs := s.jobsLocked()
+	s.mu.Unlock()
+	for _, job := range jobs {
 		js := job.reg.Snapshot()
 		for name, v := range js.Counters {
 			if aggregatedMetric(name) {

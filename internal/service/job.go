@@ -44,6 +44,10 @@ type Job struct {
 	tracker  *dse.FrontTracker
 	reg      *obs.Registry
 	done     chan struct{}
+	// onFinish, set by the server before the job starts, runs once as
+	// the job finishes (see Server.retire).
+	onFinish func(*Job)
+	retired  bool // guarded by the server's mu: finished, hence evictable
 
 	mu     sync.Mutex
 	state  State
@@ -138,8 +142,12 @@ func (j *Job) setState(st State) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal state and releases event streams.
+// finish hands the job back to the server (freeing its admission slot),
+// records the terminal state and releases event streams.
 func (j *Job) finish(st State, errMsg string, report []byte) {
+	if j.onFinish != nil {
+		j.onFinish(j)
+	}
 	j.mu.Lock()
 	j.state = st
 	j.errMsg = errMsg

@@ -53,6 +53,18 @@ var (
 	ErrDraining = errors.New("service: server draining")
 )
 
+// maxFinishedJobs bounds the finished jobs a server keeps. Each holds
+// its report, event history and front tracker (about 22 KB), so an
+// unbounded table grows with every job served. Past the bound the
+// oldest finished jobs in submission order are forgotten: their ids
+// answer 404, and their pareto.stream.*, dse.shard.* and durability.*
+// counters move into a server-side total so /v1/metrics stays
+// monotonic. Queued and running jobs are never evicted.
+const maxFinishedJobs = 1024
+
+// finishedJobCap is the bound a new Server takes; tests lower it.
+var finishedJobCap = maxFinishedJobs
+
 // Options configures a Server. The zero value is usable: two concurrent
 // jobs, a queue of eight, no warm cache, no checkpoints.
 type Options struct {
@@ -100,10 +112,16 @@ type Server struct {
 	sem  chan struct{} // running-slot tokens
 	inj  *faultinject.Injector
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // submission order, for stable listings
-	nextID   int
+	mu           sync.Mutex
+	jobs         map[string]*Job
+	order        []string // submission order, for stable listings
+	nextID       int
+	active       int // queued + running jobs, for admission
+	finished     int // retained finished jobs
+	keepFinished int
+	// evicted sums the aggregated counters of jobs evicted from the
+	// table (see aggregatedMetric).
+	evicted  map[string]int64
 	draining bool
 	anns     map[string]*testcost.Annotator
 	cacheAnn *testcost.Annotator // the annotator Drain persists to CachePath
@@ -135,6 +153,9 @@ func NewServer(opts Options) *Server {
 		inj:  inj,
 		jobs: make(map[string]*Job),
 		anns: make(map[string]*testcost.Annotator),
+
+		keepFinished: finishedJobCap,
+		evicted:      make(map[string]int64),
 	}
 	s.routes()
 	return s
@@ -215,20 +236,15 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	active := 0
-	for _, j := range s.jobs {
-		switch j.State() {
-		case StateQueued, StateRunning:
-			active++
-		}
-	}
-	if active >= s.opts.MaxConcurrent+s.opts.QueueDepth {
+	if s.active >= s.opts.MaxConcurrent+s.opts.QueueDepth {
 		s.mu.Unlock()
 		s.reg.Counter("service.jobs.rejected").Inc()
 		return nil, ErrBusy
 	}
+	s.active++
 	s.nextID++
 	job := newJob(fmt.Sprintf("job-%d", s.nextID), spec)
+	job.onFinish = s.retire
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.wg.Add(1)
@@ -241,6 +257,35 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 // ErrBusy rejects a submit when the running set and the queue are full.
 var ErrBusy = errors.New("service: job queue full")
 
+// retire frees a finishing job's admission slot and, past the
+// retention bound, evicts the oldest finished jobs.
+func (s *Server) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.active--
+	j.retired = true
+	s.finished++
+	if s.finished <= s.keepFinished {
+		return
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		old := s.jobs[id]
+		if s.finished > s.keepFinished && old.retired {
+			for name, v := range old.reg.Snapshot().Counters {
+				if aggregatedMetric(name) {
+					s.evicted[name] += v
+				}
+			}
+			delete(s.jobs, id)
+			s.finished--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	s.order = kept
+}
+
 // Job returns the job by id.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
@@ -249,10 +294,14 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs lists every job in submission order.
+// Jobs lists the retained jobs in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.jobsLocked()
+}
+
+func (s *Server) jobsLocked() []*Job {
 	out := make([]*Job, 0, len(s.order))
 	for _, id := range s.order {
 		out = append(out, s.jobs[id])

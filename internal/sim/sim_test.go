@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func arch(buses int) *tta.Architecture {
 
 func runBoth(t *testing.T, g *program.Graph, a *tta.Architecture, inputs []uint64, mem program.Memory) ([]uint64, []uint64) {
 	t.Helper()
-	res, err := sched.Schedule(g, a, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, a, sched.Options{})
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestVerifyCatchesWrongInputs(t *testing.T) {
 	g := program.NewGraph("v", 16)
 	a := g.In()
 	g.Output(g.Add(a, a))
-	res, err := sched.Schedule(g, arch(2), sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch(2), sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestTraceProducesLines(t *testing.T) {
 	g := program.NewGraph("t", 16)
 	a := g.In()
 	g.Output(g.Add(a, g.ConstV(1)))
-	res, err := sched.Schedule(g, arch(2), sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), g, arch(2), sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,7 +176,7 @@ func TestWorkloadsRunOnFigure9TTA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		res, err := sched.Schedule(g, arch, sched.Options{})
+		res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
 		if err != nil {
 			t.Fatalf("%s: schedule: %v", c.name, err)
 		}

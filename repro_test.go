@@ -4,6 +4,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -59,7 +60,7 @@ func TestEndToEndStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedRes, err := sched.Schedule(kernel, sel, sched.Options{})
+	schedRes, err := sched.ScheduleContext(context.Background(), kernel, sel, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestSchedulerPriorityAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := sched.Schedule(kernel, arch, sched.Options{Priority: sched.CriticalPath})
+	cp, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{Priority: sched.CriticalPath})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := sched.Schedule(kernel, arch, sched.Options{Priority: sched.SourceOrder})
+	so, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{Priority: sched.SourceOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestSchedulerPriorityAblation(t *testing.T) {
 		acc = g.Or(acc, s)
 	}
 	g.Output(acc)
-	cp2, err := sched.Schedule(g, arch, sched.Options{Priority: sched.CriticalPath})
+	cp2, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{Priority: sched.CriticalPath})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so2, err := sched.Schedule(g, arch, sched.Options{Priority: sched.SourceOrder})
+	so2, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{Priority: sched.SourceOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
