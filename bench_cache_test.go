@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -35,7 +36,7 @@ func warmBlob(b *testing.B, cfg dse.Config) []byte {
 	b.Helper()
 	ann := testcost.NewAnnotator(cfg.Width, cfg.Seed)
 	cfg.Annotator = ann
-	if _, err := dse.Explore(cfg); err != nil {
+	if _, err := dse.ExploreContext(context.Background(), cfg); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -63,7 +64,7 @@ func benchExplore(b *testing.B, parallelism int, warm bool) {
 		}
 		cfg.Annotator = ann
 		b.StartTimer()
-		res, err := dse.Explore(cfg)
+		res, err := dse.ExploreContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func BenchmarkAnnotationColdSingleFlight(b *testing.B) {
 		b.StartTimer()
 		// Area/delay annotation of every enumerated structure touches each
 		// distinct library component exactly once thanks to single-flight.
-		if _, err := dse.Explore(cfg); err != nil {
+		if _, err := dse.ExploreContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

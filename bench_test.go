@@ -62,7 +62,7 @@ func exploredStudy(b *testing.B) *core.Study {
 		}
 		cfg.Annotator = ann
 		s := core.NewStudyWithConfig(cfg)
-		if err := s.Explore(); err != nil {
+		if err := s.ExploreContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		benchStudy = s
@@ -91,7 +91,7 @@ func BenchmarkFigure2AreaTimePareto(b *testing.B) {
 	cfg.Annotator = ann
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dse.Explore(cfg)
+		res, err := dse.ExploreContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

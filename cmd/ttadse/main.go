@@ -55,6 +55,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,8 +301,7 @@ func main() {
 		// existing save below rewrites it), so the next run of any
 		// topology warm-starts from the whole fan-out's work.
 		if *cache != "" {
-			shardCaches, _ := filepath.Glob(*cache + ".shard*")
-			if _, err := cfg.Annotator.MergeFiles(shardCaches...); err != nil {
+			if _, err := cfg.Annotator.MergeFiles(shardCaches(*cache)...); err != nil {
 				log.Printf("warning: shard caches not merged: %v", err)
 			}
 		}
@@ -417,6 +417,24 @@ func main() {
 	if exitCode != 0 {
 		os.Exit(exitCode)
 	}
+}
+
+// shardCacheSuffix matches what a shard worker appends to -cache. A
+// crashed save's temp files (….shard0of2.tmp123) and quarantined caches
+// (….corrupt) share the prefix but are not shard caches.
+var shardCacheSuffix = regexp.MustCompile(`^\.shard[0-9]+of[0-9]+$`)
+
+// shardCaches lists the per-shard caches <cache>.shard<i>of<N> the
+// workers of a -cache fan-out wrote, in name order.
+func shardCaches(cache string) []string {
+	matches, _ := filepath.Glob(cache + ".shard*")
+	var out []string
+	for _, m := range matches {
+		if shardCacheSuffix.MatchString(strings.TrimPrefix(filepath.Base(m), filepath.Base(cache))) {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // splitPaths parses the -merge operand: a comma-separated path list.

@@ -142,10 +142,92 @@ func TestShardWorkerResumeAfterKill(t *testing.T) {
 	}
 }
 
+// TestMergeSkipsStrayShardCacheFiles: a crashed save's temp file and an
+// earlier quarantine share the <cache>.shard prefix. The merge must
+// union exactly the shard caches — every one of them — and leave the
+// strays alone instead of aborting on them.
+func TestMergeSkipsStrayShardCacheFiles(t *testing.T) {
+	base := []string{"-buses", "1,2", "-alus", "1", "-cmps", "1"}
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "c.cache")
+	var paths []string
+	for i := 0; i < 2; i++ {
+		ckpt := filepath.Join(dir, fmt.Sprintf("s%d.ckpt", i))
+		paths = append(paths, ckpt)
+		args := append(append([]string(nil), base...),
+			"-shards", "2", "-shard-index", strconv.Itoa(i), "-checkpoint", ckpt, "-cache", cache)
+		if _, errText, code := runCLI(t, args...); code != 0 {
+			t.Fatalf("shard %d exited %d: %s", i, code, errText)
+		}
+	}
+	shard0, err := os.ReadFile(cache + ".shard0of2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strays := map[string][]byte{
+		cache + ".shard0of2.tmp4242": shard0[:len(shard0)/3],
+		cache + ".shard1of2.corrupt": []byte("quarantined earlier"),
+	}
+	for path, data := range strays {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := shardCaches(cache), []string{cache + ".shard0of2", cache + ".shard1of2"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("shardCaches = %v, want %v", got, want)
+	}
+	_, errText, code := runCLI(t, append(append([]string(nil), base...),
+		"-merge", strings.Join(paths, ","), "-cache", cache)...)
+	if code != 0 || strings.Contains(errText, "not merged") {
+		t.Fatalf("merge exited %d: %s", code, errText)
+	}
+	for path, data := range strays {
+		if got, err := os.ReadFile(path); err != nil || string(got) != string(data) {
+			t.Errorf("stray %s was touched by the merge: %v", filepath.Base(path), err)
+		}
+	}
+	if matches, _ := filepath.Glob(cache + "*.corrupt.corrupt"); len(matches) > 0 {
+		t.Errorf("the merge quarantined a stray again: %v", matches)
+	}
+}
+
+// TestShardedSearchCLI: guided-search workers started one after another
+// share one candidate list next to their checkpoints — the first
+// screens, the rest and the merge read it — and the merged report is
+// the unsharded run's.
+func TestShardedSearchCLI(t *testing.T) {
+	base := []string{"-search", "-search-pop", "8", "-search-gens", "2"}
+	ref, errText, code := runCLI(t, base...)
+	if code != 0 {
+		t.Fatalf("unsharded search exited %d: %s", code, errText)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for i := 0; i < 3; i++ {
+		ckpt := filepath.Join(dir, fmt.Sprintf("s%d.ckpt", i))
+		paths = append(paths, ckpt)
+		args := append(append([]string(nil), base...),
+			"-shards", "3", "-shard-index", strconv.Itoa(i), "-checkpoint", ckpt)
+		if _, errText, code := runCLI(t, args...); code != 0 {
+			t.Fatalf("shard %d exited %d: %s", i, code, errText)
+		}
+	}
+	if lists, _ := filepath.Glob(filepath.Join(dir, "candidates-*.list")); len(lists) != 1 {
+		t.Fatalf("candidate lists next to the checkpoints: %v, want exactly one", lists)
+	}
+	out, errText, code := runCLI(t, append(append([]string(nil), base...), "-merge", strings.Join(paths, ","))...)
+	if code != 0 {
+		t.Fatalf("merge exited %d: %s", code, errText)
+	}
+	if out != ref {
+		t.Fatal("merged search report differs from the unsharded run")
+	}
+}
+
 // TestShardFlagValidation pins the CLI-boundary rejections.
 func TestShardFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-shards", "2"},                                          // no -checkpoint
+		{"-shards", "2"}, // no -checkpoint
 		{"-shards", "2", "-shard-index", "2", "-checkpoint", "x"}, // index out of range
 		{"-shards", "2", "-checkpoint", "x", "-merge", "a"},       // worker and merge at once
 		{"-merge", "a.ckpt", "-checkpoint", "x"},                  // merge ignores -checkpoint

@@ -116,7 +116,7 @@ func TestExploreContextCancelMidRun(t *testing.T) {
 func TestExploreRejectsNegativeParallelism(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Parallelism = -1
-	if _, err := Explore(cfg); err == nil {
+	if _, err := ExploreContext(context.Background(), cfg); err == nil {
 		t.Fatal("Explore accepted negative Parallelism")
 	}
 }

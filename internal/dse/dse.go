@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -140,17 +141,23 @@ type Config struct {
 	// the promoted survivors reach the full evaluation pipeline; events,
 	// checkpoints, fronts and selection behave exactly as in sweep mode,
 	// over the survivor list. The enumeration fields above are ignored.
+	// With a Checkpoint, the survivors are also persisted as a candidate
+	// list in the checkpoint's directory, and a run that finds a valid
+	// list there skips the screen (see PrepareCandidateList).
 	Search *SearchSpec
 
 	// Shard, when non-nil, makes this run one worker of a process-sharded
 	// exploration: the full candidate list is still produced (it is a
-	// pure function of the config, so every shard derives the same list
-	// with the same global indices), but only the contiguous slice
-	// shardBounds assigns to Shard.Index is evaluated. The run's product
-	// is its checkpoint file — Checkpoint is required — stamped with the
-	// shard header; fronts and selection are left to the merge
-	// (MergeExploreContext), which is the only way to see the whole
-	// picture. Events keep global candidate indices and the global total.
+	// pure function of the config, so every shard holds the same list
+	// with the same global indices; a guided search reads it from the
+	// candidate list the first worker, or the daemon coordinator,
+	// persisted next to the checkpoint instead of screening again), but
+	// only the contiguous slice shardBounds assigns to Shard.Index is
+	// evaluated. The run's product is its checkpoint file — Checkpoint is
+	// required — stamped with the shard header; fronts and selection are
+	// left to the merge (MergeExploreContext), which is the only way to
+	// see the whole picture. Events keep global candidate indices and the
+	// global total.
 	Shard *ShardRange
 
 	// SpecHash, when non-empty, is the jobspec.Spec.Hash() result
@@ -337,15 +344,6 @@ type Result struct {
 	Verified bool
 }
 
-// Explore runs the full exploration.
-//
-// Deprecated: Explore is a thin shim over ExploreContext with a
-// background context; it cannot be cancelled, deadlined or drained.
-// Use ExploreContext.
-func Explore(cfg Config) (*Result, error) {
-	return ExploreContext(context.Background(), cfg)
-}
-
 // ExploreContext runs the full exploration under ctx. Cancelling the
 // context (or exceeding its deadline) stops the candidate evaluations —
 // including in-flight scheduling and gate-level ATPG runs — promptly and
@@ -385,7 +383,11 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer root.End()
 	res := &Result{Config: cfg, Selected: -1}
 
-	archs, err := produceArchs(ctx, &cfg, root)
+	var listDirs []string
+	if cfg.Checkpoint != nil {
+		listDirs = []string{filepath.Dir(cfg.Checkpoint.path)}
+	}
+	archs, err := produceArchs(ctx, &cfg, root, listDirs)
 	if err != nil {
 		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, err
@@ -395,7 +397,7 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// A shard run evaluates only its contiguous slice of the list.
 	// Candidate production above is a pure function of the config, so
-	// every shard (and the merge) derives the same list with the same
+	// every shard (and the merge) holds the same list with the same
 	// global indices — no index remapping anywhere.
 	lo, hi := 0, len(archs)
 	if cfg.Shard != nil {
@@ -477,20 +479,30 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // produceArchs builds the candidate list — exhaustive enumeration by
-// default, the guided GA screen when Search is set. It is a pure
-// function of the config (the GA draws from a control-thread-only rng
-// and screens with the pure bound tier), which is what lets shard
-// workers and the merge each derive the identical list.
-func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Architecture, error) {
+// default, the guided GA screen's survivors when Search is set. It is a
+// pure function of the config (the GA draws from a control-thread-only
+// rng and screens with the pure bound tier), which is what lets shard
+// workers and the merge agree on one list with the same global indices.
+// The screen is the costly part, so a guided search with list
+// directories reads a candidate list persisted there by an earlier run
+// instead of screening again (see searchSurvivors).
+func produceArchs(ctx context.Context, cfg *Config, root *obs.Span, listDirs []string) ([]*tta.Architecture, error) {
 	if cfg.Search != nil {
 		spec := *cfg.Search
 		if err := spec.fillDefaults(cfg.Seed); err != nil {
 			return nil, err
 		}
 		searchSp := root.Child("search")
-		archs, err := searchCandidates(ctx, cfg, searchSp, spec)
+		survivors, err := searchSurvivors(ctx, cfg, searchSp, spec, listDirs)
 		searchSp.End()
-		return archs, err
+		if err != nil {
+			return nil, err
+		}
+		archs := make([]*tta.Architecture, len(survivors))
+		for i := range survivors {
+			archs[i] = survivors[i].arch(cfg.Width, i)
+		}
+		return archs, nil
 	}
 	enumSp := root.Child("enumerate")
 	defer enumSp.End()

@@ -75,10 +75,10 @@ func TestStructKeyIgnoresAssignment(t *testing.T) {
 		t.Errorf("assign variants got different keys:\n%s\n%s", structKey(base), structKey(variant))
 	}
 	distinct := []*tta.Architecture{
-		buildArch(8, 2, 1, 1, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 2, 0),  // width
-		buildArch(16, 3, 1, 1, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 3, 0), // buses
-		buildArch(16, 2, 2, 1, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 4, 0), // ALUs
-		buildArch(16, 2, 1, 2, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 5, 0), // CMPs
+		buildArch(8, 2, 1, 1, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 2, 0),   // width
+		buildArch(16, 3, 1, 1, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 3, 0),  // buses
+		buildArch(16, 2, 2, 1, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 4, 0),  // ALUs
+		buildArch(16, 2, 1, 2, []RFSpec{{8, 1, 1}}, tta.SpreadFirst, 5, 0),  // CMPs
 		buildArch(16, 2, 1, 1, []RFSpec{{12, 1, 1}}, tta.SpreadFirst, 6, 0), // RF shape
 	}
 	seen := map[string]bool{structKey(base): true}

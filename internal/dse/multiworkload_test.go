@@ -96,14 +96,14 @@ func TestPerWorkloadSelectionsDiffer(t *testing.T) {
 	cfgVM := base
 	cfgVM.Workload = vm
 	cfgVM.WorkloadReps = 1000
-	resVM, err := Explore(cfgVM)
+	resVM, err := ExploreContext(context.Background(), cfgVM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgCRC := base
 	cfgCRC.Workload = crc
 	cfgCRC.WorkloadReps = 1000
-	resCRC, err := Explore(cfgCRC)
+	resCRC, err := ExploreContext(context.Background(), cfgCRC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestEnergyAxisExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.EnergyModel = m
-	res, err := Explore(cfg)
+	res, err := ExploreContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -427,12 +427,12 @@ func nextGeneration(rng *rand.Rand, pop []genome, order []int, fitness []float64
 	return out
 }
 
-// searchCandidates runs the GA + successive-halving screen and returns
-// the promoted architectures, in promotion order (generation, then
-// cheap-tier rank), deduplicated by genome. The returned list feeds the
-// unchanged full-evaluation pipeline: converged ATPG, checkpoints, live
-// fronts, selection.
-func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec) ([]*tta.Architecture, error) {
+// screenSurvivors runs the GA + successive-halving screen and returns
+// the promoted genomes, in promotion order (generation, then cheap-tier
+// rank), deduplicated. produceArchs turns them into the architectures
+// the unchanged full-evaluation pipeline consumes: converged ATPG,
+// checkpoints, live fronts, selection.
+func screenSurvivors(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec) ([]genome, error) {
 	reg := cfg.Obs
 	rng := rand.New(rand.NewSource(spec.Seed))
 	pop := make([]genome, spec.Population)
@@ -484,11 +484,7 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 	if len(survivors) == 0 {
 		return nil, fmt.Errorf("dse: guided search promoted no feasible candidate (pop %d, gens %d)", spec.Population, spec.Generations)
 	}
-	archs := make([]*tta.Architecture, len(survivors))
-	for i := range survivors {
-		archs[i] = survivors[i].arch(cfg.Width, i)
-	}
-	return archs, nil
+	return survivors, nil
 }
 
 // ceilDiv is also defined in testcost; dse keeps its own to avoid the

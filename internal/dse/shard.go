@@ -1,10 +1,13 @@
 // Process-sharded exploration: the candidate list is a pure function of
 // the Config (exhaustive enumeration, or the GA screen whose rng lives
 // on the control thread and whose cheap tier is a pure function of the
-// netlist), so N worker processes can each derive the identical list,
-// evaluate a deterministic contiguous slice of it, and persist the
-// result as a shard checkpoint (Config.Shard + OpenCheckpoint). This
-// file is the other half: MergeExploreContext re-derives the list,
+// netlist), so N worker processes all hold the identical list, evaluate
+// a deterministic contiguous slice of it, and persist the result as a
+// shard checkpoint (Config.Shard + OpenCheckpoint). Enumeration is
+// cheap and every process repeats it; the GA screen is not, so it runs
+// once and its survivors are persisted as a candidate list next to the
+// checkpoints (candlist.go), which later workers and the merge read.
+// This file is the other half: MergeExploreContext rebuilds the list,
 // validates that the shard files tile the candidate space exactly, and
 // rebuilds fronts and selection in canonical index order — so the merged
 // result is byte-identical to the unsharded run at any topology.
@@ -14,6 +17,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -59,7 +64,9 @@ func (e *ShardMergeError) Unwrap() error { return e.Err }
 // byte-identical (through core.Study.JSONResult, and in every exported
 // field) to what an unsharded ExploreContext of the same cfg returns.
 //
-// The merge re-derives the candidate list from cfg, demands that the
+// The merge rebuilds the candidate list from cfg — a guided search
+// reads the candidate list its workers left in the shard files'
+// directories and screens only when none is valid — demands that the
 // files' shard ranges tile it exactly (duplicated, overlapping or
 // missing ranges are rejected, as is an incomplete shard — resume that
 // worker from its own checkpoint first), reconstitutes every candidate,
@@ -95,7 +102,15 @@ func MergeExploreContext(ctx context.Context, cfg Config, paths []string) (*Resu
 	defer root.End()
 	res := &Result{Config: cfg, Selected: -1}
 
-	archs, err := produceArchs(ctx, &cfg, root)
+	// The merge evaluates nothing; the candidate list its workers read
+	// (or published) sits next to their shard files.
+	var listDirs []string
+	for _, p := range paths {
+		if d := filepath.Dir(p); !slices.Contains(listDirs, d) {
+			listDirs = append(listDirs, d)
+		}
+	}
+	archs, err := produceArchs(ctx, &cfg, root, listDirs)
 	if err != nil {
 		return nil, err
 	}

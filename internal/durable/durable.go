@@ -1,7 +1,8 @@
 // Package durable is the engine's crash-safe persistence layer: every
-// artifact that crosses a process boundary (dse checkpoints, the
-// testcost warm-annotation cache, shard interchange files) is written
-// through it and read back through it.
+// artifact that crosses a process boundary (dse checkpoints, which are
+// also the shard interchange files, the guided search's candidate
+// lists, and the testcost warm-annotation cache) is written through it
+// and read back through it.
 //
 // Two primitives:
 //

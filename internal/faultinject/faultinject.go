@@ -51,6 +51,9 @@ const (
 	// Checkpoint fires on every checkpoint file write
 	// (internal/dse.(*Checkpoint).flush).
 	Checkpoint Point = "dse.checkpoint.write"
+	// CandidateList fires on every guided-search candidate list write
+	// (internal/dse.searchSurvivors).
+	CandidateList Point = "dse.candidates.write"
 	// ShardWorker fires once at the top of a shard worker process's run
 	// (internal/service.runShardWorker), before the worker has emitted
 	// anything — the place to make a whole worker hang (ModeStall) or die

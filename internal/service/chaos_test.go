@@ -111,6 +111,41 @@ func TestShardedJobChaosTornAndStall(t *testing.T) {
 	}
 }
 
+// TestShardedSearchJobTornList: the coordinator's candidate list write
+// is torn. The four workers of the fan-out find the damaged list,
+// quarantine it and screen for themselves; the report stays
+// byte-identical and the quarantine reaches the job registry.
+func TestShardedSearchJobTornList(t *testing.T) {
+	opts := shardOptions(t)
+	opts.Inject = faultinject.New(1)
+	opts.Inject.Arm(faultinject.CandidateList, faultinject.Plan{Mode: faultinject.ModeTornWrite, Frac: 0.5, Limit: 1})
+	srv := NewServer(opts)
+	spec := searchShardSpec()
+	want := unshardedReport(t, srv, spec)
+
+	spec.Shard = chaosShardSpec(4)
+	job, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st != StateDone {
+		t.Fatalf("torn-list job ended %s: %s", st, job.Status().Error)
+	}
+	if !bytes.Equal(job.Report(), want) {
+		t.Fatalf("torn-list report differs from the unsharded run: sha256 %x vs %x",
+			sha256.Sum256(job.Report()), sha256.Sum256(want))
+	}
+	if n := opts.Inject.Fires(faultinject.CandidateList); n != 1 {
+		t.Fatalf("candidate list write torn %d times, want 1", n)
+	}
+	if n := job.reg.Counter("dse.search.list_write_errors").Value(); n != 1 {
+		t.Errorf("dse.search.list_write_errors = %d, want 1 (the coordinator's torn write)", n)
+	}
+	if n := job.reg.Counter("durability.quarantined").Value(); n < 1 {
+		t.Errorf("durability.quarantined = %d, want >= 1 (the torn list)", n)
+	}
+}
+
 // TestShardedJobStallRestartsExhausted pins the failure side of stall
 // supervision: a fan-out whose every worker process hangs at birth must
 // end failed with the stall watchdog's typed message once the restart

@@ -1,7 +1,8 @@
 // Process-sharded job execution: a job whose Spec.Shard is set fans
 // out over N worker OS processes. The coordinator (runSharded) writes
-// the worker spec and a read-only seed of the daemon's warm annotation
-// cache to a work directory, execs one worker per shard, forwards each
+// the worker spec, a read-only seed of the daemon's warm annotation
+// cache and — for a guided search — the screened candidate list to a
+// work directory, execs one worker per shard, forwards each
 // worker's NDJSON event stream into the job's sink (so progress and
 // live fronts aggregate across processes), restarts crashed workers
 // from their own shard checkpoints up to a bound, and finally merges
@@ -238,6 +239,15 @@ func (s *Server) runSharded(job *Job) {
 		defer cancel()
 	}
 
+	// A guided search screens once, here, with the job's annotator: the
+	// survivor list lands next to the shard checkpoints, where every
+	// worker, restart and the merge read it. Without it, the workers
+	// screen for themselves.
+	if err := dse.PrepareCandidateList(runCtx, cfg, workDir); err != nil {
+		job.sink(dse.Event{Kind: dse.EventWarning,
+			Msg: fmt.Sprintf("candidate list not prepared, workers screen for themselves: %v", err)})
+	}
+
 	// Fan out: one supervisor goroutine per shard, each restarting its
 	// worker from the shard checkpoint up to maxRestarts times.
 	workersGauge := job.reg.Gauge("dse.shard.workers")
@@ -336,9 +346,10 @@ func (s *Server) runSharded(job *Job) {
 			Msg: fmt.Sprintf("shard caches not merged: %v", err)})
 	}
 
-	// Canonical merge: re-derive the candidate list, validate that the
-	// shard checkpoints tile it, rebuild fronts in index order. The
-	// merge emits the job's single "done" event.
+	// Canonical merge: rebuild the candidate list (a guided search reads
+	// the list prepared above), validate that the shard checkpoints tile
+	// it, rebuild fronts in index order. The merge emits the job's single
+	// "done" event.
 	paths := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		paths = append(paths, shardCheckpointPath(workDir, hash, i, n))
@@ -646,10 +657,13 @@ func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cac
 	// The cache load and checkpoint open above may have counted
 	// durability incidents (prefix recoveries, quarantines, legacy
 	// loads) on the worker-local registry; relay them to the
-	// coordinator, which folds them into the job registry.
-	relayCounters(cfg.Obs, "durability.", emit)
+	// coordinator, which folds them into the job registry. The run's
+	// own incidents and screen counters follow once it ends.
+	relayed := make(map[string]int64)
+	relayCounters(cfg.Obs, relayed, emit)
 
 	_, runErr := dse.ExploreContext(context.Background(), cfg)
+	relayCounters(cfg.Obs, relayed, emit)
 	// A complete shard flushed on its way out; a partial one must
 	// persist its tail so the restart resumes instead of redoing. A
 	// failed final flush fails the worker: exiting 0 behind a torn
@@ -666,13 +680,22 @@ func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cac
 	return runErr
 }
 
-// relayCounters emits one "counter" event per non-zero counter under
-// prefix, carrying worker-local metrics across the process boundary.
-func relayCounters(reg *obs.Registry, prefix string, emit func(dse.Event)) {
-	snap := reg.Snapshot()
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, prefix) && v > 0 {
-			emit(dse.Event{Kind: dse.EventCounter, Code: name, N: int(v)})
+// relayedPrefixes name the worker-local counters the coordinator folds
+// into the job registry: durability incidents, and the guided search's
+// screen counters, so a job's dse.search.cheap_evals counts every screen
+// of the fan-out.
+var relayedPrefixes = []string{"durability.", "dse.search."}
+
+// relayCounters emits one "counter" event per relayed counter that grew
+// since the last call (sent holds the values already relayed), carrying
+// worker-local metrics across the process boundary.
+func relayCounters(reg *obs.Registry, sent map[string]int64, emit func(dse.Event)) {
+	for name, v := range reg.Snapshot().Counters {
+		for _, prefix := range relayedPrefixes {
+			if strings.HasPrefix(name, prefix) && v > sent[name] {
+				emit(dse.Event{Kind: dse.EventCounter, Code: name, N: int(v - sent[name])})
+				sent[name] = v
+			}
 		}
 	}
 }

@@ -37,19 +37,74 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// shardServer builds a daemon whose shard workers re-exec this test
-// binary, with extraEnv appended to the worker environment.
-func shardServer(t *testing.T, extraEnv ...string) *Server {
+// shardOptions are the options of a daemon whose shard workers re-exec
+// this test binary, with extraEnv appended to the worker environment.
+func shardOptions(t *testing.T, extraEnv ...string) Options {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(Options{
+	return Options{
 		MaxConcurrent:      2,
 		ShardWorkerCommand: []string{exe},
 		ShardWorkerEnv:     append([]string{"TTADSED_SHARD_WORKER=1"}, extraEnv...),
-	})
+	}
+}
+
+func shardServer(t *testing.T, extraEnv ...string) *Server {
+	t.Helper()
+	return NewServer(shardOptions(t, extraEnv...))
+}
+
+// searchShardSpec is a small guided search: 16 screened genomes.
+func searchShardSpec() jobspec.Spec {
+	return jobspec.Spec{Search: &jobspec.SearchSpec{Population: 8, Generations: 2, Eta: 4, Seed: 5}}
+}
+
+// unshardedReport runs spec without a fan-out and returns its report.
+func unshardedReport(t *testing.T, srv *Server, spec jobspec.Spec) []byte {
+	t.Helper()
+	ref, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, ref); st != StateDone {
+		t.Fatalf("unsharded job ended %s: %s", st, ref.Status().Error)
+	}
+	if ref.Report() == nil {
+		t.Fatal("unsharded job produced no report")
+	}
+	return ref.Report()
+}
+
+// TestShardedSearchJobScreensOnce: a sharded guided-search job screens
+// once, in the coordinator; its four workers and the merge read the
+// candidate list, and the report equals the unsharded job's.
+func TestShardedSearchJobScreensOnce(t *testing.T) {
+	srv := shardServer(t)
+	spec := searchShardSpec()
+	want := unshardedReport(t, srv, spec)
+
+	spec.Shard = &jobspec.ShardSpec{Shards: 4}
+	job, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st != StateDone {
+		t.Fatalf("sharded search job ended %s: %s", st, job.Status().Error)
+	}
+	if !bytes.Equal(job.Report(), want) {
+		t.Fatal("sharded search report differs from the unsharded job's")
+	}
+	// Worker screen counters are relayed into the job registry, so these
+	// sums cover the coordinator, all four workers and the merge.
+	if n := job.reg.Counter("dse.search.cheap_evals").Value(); n != 8*2 {
+		t.Errorf("dse.search.cheap_evals = %d, want %d (one screen)", n, 8*2)
+	}
+	if n := job.reg.Counter("dse.search.list_loaded").Value(); n != 5 {
+		t.Errorf("dse.search.list_loaded = %d, want 5 (four workers and the merge)", n)
+	}
 }
 
 // TestShardedJobMatchesUnsharded is the end-to-end determinism check at

@@ -278,8 +278,7 @@ func (a *Annotator) Load(r io.Reader) error {
 	}
 	if rec.Legacy {
 		a.Obs.Counter("durability.legacy_loads").Inc()
-		a.Obs.Emit(obs.Event{Kind: "warning", Msg:
-			"annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed"})
+		a.Obs.Emit(obs.Event{Kind: "warning", Msg: "annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed"})
 	}
 	a.Obs.Counter("testcost.cache.loaded").Add(int64(loaded))
 	return nil
@@ -355,19 +354,21 @@ func (a *Annotator) LoadFile(path string) error {
 // never-overwrite rule (existing annotations win, so the seed cache the
 // shards started from stays authoritative), and missing files are
 // skipped — a shard that annotated nothing new may not have written one.
-// It returns how many files were actually loaded; the first corrupt or
-// mismatched file aborts with that typed error.
+// A corrupt or mismatched file does not stop the union: every good file
+// is still loaded, and the bad files' typed errors come back joined. It
+// returns how many files were actually loaded.
 func (a *Annotator) MergeFiles(paths ...string) (int, error) {
 	loaded := 0
+	var errs []error
 	for _, path := range paths {
 		err := a.LoadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			errs = append(errs, err)
+		default:
+			loaded++
 		}
-		if err != nil {
-			return loaded, err
-		}
-		loaded++
 	}
-	return loaded, nil
+	return loaded, errors.Join(errs...)
 }

@@ -226,4 +226,26 @@ func TestMergeFiles(t *testing.T) {
 	if _, err := merged.MergeFiles(bad); err == nil {
 		t.Fatal("corrupt shard cache accepted by MergeFiles")
 	}
+
+	// A bad file does not stop the union: every good file after it
+	// still loads, and the bad file's typed error comes back.
+	bad = filepath.Join(dir, "cache.shard0.tmp4242")
+	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewAnnotator(8, 7)
+	n, err = fresh.MergeFiles(bad, shard0, shard1)
+	var corrupt *CacheCorruptError
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("MergeFiles error %v, want the bad file's *CacheCorruptError", err)
+	}
+	if n != 2 {
+		t.Fatalf("MergeFiles loaded %d files past a bad one, want 2", n)
+	}
+	fresh.mu.Lock()
+	got = len(fresh.cache)
+	fresh.mu.Unlock()
+	if got < want {
+		t.Fatalf("union past a bad file holds %d entries, fewer than shard 0 alone (%d)", got, want)
+	}
 }

@@ -30,7 +30,7 @@ func TestEndToEndStudy(t *testing.T) {
 	cfg.RFSets = cfg.RFSets[1:3]
 	cfg.Assigns = []tta.AssignStrategy{tta.SpreadFirst, tta.Packed}
 	study := core.NewStudyWithConfig(cfg)
-	if err := study.Explore(); err != nil {
+	if err := study.ExploreContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res := study.Result
