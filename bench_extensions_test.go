@@ -67,7 +67,10 @@ func BenchmarkComparisonScanBISTFunctional(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := atpg.Run(alu.Seq, atpg.Config{Seed: 7})
+		res, err := atpg.RunContext(context.Background(), alu.Seq, atpg.Config{Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
 		ev, err := bist.Evaluate(alu.Seq, res.Coverage(), 8192, 0xACE1)
 		if err != nil {
 			b.Fatal(err)
@@ -101,7 +104,10 @@ func BenchmarkTDFCoverage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := atpg.Run(alu.Comb, atpg.Config{Seed: 7})
+	res, err := atpg.RunContext(context.Background(), alu.Comb, atpg.Config{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tdf := atpg.EvaluateTDF(alu.Comb, res.Patterns)
@@ -246,7 +252,10 @@ func BenchmarkAblationSCOAPGuidance(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := atpg.Run(alu.Comb, atpg.Config{Seed: 7, MaxRandomPatterns: -1, SCOAPGuidance: guided})
+				res, err := atpg.RunContext(context.Background(), alu.Comb, atpg.Config{Seed: 7, MaxRandomPatterns: -1, SCOAPGuidance: guided})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if i == 0 {
 					printFirst("Ablation: PODEM "+name, func() string {
 						return fmt.Sprintf("np=%d aborted=%d FC=%.2f%%", res.NumPatterns(), res.Aborted, 100*res.Coverage())

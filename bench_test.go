@@ -43,7 +43,7 @@ func annotator(b *testing.B) *testcost.Annotator {
 	if benchAnn == nil {
 		benchAnn = testcost.NewAnnotator(16, 7)
 		// Warm the cache outside the timed region.
-		if _, err := benchAnn.Evaluate(tta.Figure9()); err != nil {
+		if _, err := benchAnn.EvaluateContext(context.Background(), tta.Figure9()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkTable1ScanVsFunctional(b *testing.B) {
 	arch := tta.Figure9()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cost, err := ann.Evaluate(arch)
+		cost, err := ann.EvaluateContext(context.Background(), arch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,10 @@ func BenchmarkATPGALU16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := atpg.Run(alu.Seq, atpg.Config{Seed: 7})
+		res, err := atpg.RunContext(context.Background(), alu.Seq, atpg.Config{Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Coverage() < 0.99 {
 			b.Fatalf("coverage regressed: %s", res)
 		}
@@ -315,7 +318,10 @@ func BenchmarkAblationAdderChoice(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := atpg.Run(alu.Seq, atpg.Config{Seed: 7})
+				res, err := atpg.RunContext(context.Background(), alu.Seq, atpg.Config{Seed: 7})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if i == 0 {
 					printFirst("Ablation: adder "+ak.String(), func() string {
 						return fmt.Sprintf("area=%.0f delay=%.1f np=%d FC=%.2f%%",
@@ -346,7 +352,10 @@ func BenchmarkAblationATPGStrategy(b *testing.B) {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := atpg.Run(alu.Seq, c.cfg)
+				res, err := atpg.RunContext(context.Background(), alu.Seq, c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if i == 0 {
 					printFirst("Ablation: ATPG "+c.name, func() string {
 						return fmt.Sprintf("np=%d FC=%.2f%%", res.NumPatterns(), 100*res.Coverage())
@@ -387,7 +396,7 @@ func BenchmarkAblationPortAssignment(b *testing.B) {
 			a := tta.Figure9().Clone()
 			a.Buses = 3
 			tta.AssignPorts(a, strat)
-			cost, err := ann.Evaluate(a)
+			cost, err := ann.EvaluateContext(context.Background(), a)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,7 +25,8 @@
 // -degraded-policy decides whether such points may win the selection.
 // -checkpoint persists completed evaluations to a file and resumes from
 // it after a kill, producing byte-identical output to an uninterrupted
-// run.
+// run; the ATPG deadline is part of its identity, so a file written
+// under another budget is stale and the run starts cold.
 //
 // Scale: -search switches from the exhaustive sweep to the guided
 // GA + successive-halving exploration over the widened parameter space
@@ -36,14 +37,14 @@
 // reproduces the identical report at any parallelism.
 //
 // Process sharding: -shards N -shard-index i runs this invocation as
-// worker i of an N-process fan-out — it evaluates only its
-// deterministic contiguous slice of the candidate space and persists it
-// to -checkpoint (mandatory; the file carries a shard header binding it
-// to the slot). A killed worker rerun with the same flags resumes from
-// its checkpoint. -merge a.ckpt,b.ckpt,... combines the workers' files
-// into the full report, byte-identical to the unsharded run at any
-// shard count; with -cache the workers' per-shard caches
-// (<cache>.shard<i>of<N>) are unioned back into the base file.
+// worker i of an N-process fan-out (dse.RunShard, the worker ttadsed
+// -shard-worker runs too). It evaluates only its deterministic slice of
+// the candidate space into -checkpoint (mandatory); rerun with the same
+// flags it resumes, and a failed final checkpoint write exits 1.
+// -merge a.ckpt,b.ckpt,... combines the workers' files into the full
+// report, byte-identical to the unsharded run at any shard count; with
+// -cache the workers' per-shard caches (<cache>.shard<i>of<N>) are
+// unioned back into the base file.
 package main
 
 import (
@@ -54,11 +55,10 @@ import (
 	"io/fs"
 	"log"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dse"
@@ -106,9 +106,6 @@ func main() {
 	// The flags are a thin veneer over a jobspec.Spec — the same
 	// serializable description a ttadsed job submission carries — so CLI
 	// and daemon explorations are built by the one dse.FromSpec path.
-	if *atpgWorkers < 0 {
-		log.Fatalf("-atpg-workers %d is negative (use 0 for the automatic core-budget split)", *atpgWorkers)
-	}
 	spec := jobspec.Spec{
 		Workload:       *workload,
 		Norm:           *normFlag,
@@ -118,6 +115,7 @@ func main() {
 		DegradedPolicy: *degradedPolicy,
 		ATPGWorkers:    *atpgWorkers,
 		LaneWidth:      *laneWidth,
+		ATPGDeadline:   jobspec.Duration(*atpgDeadline),
 	}
 	if *search || *searchPop != 0 || *searchGens != 0 || *searchEta != 0 || *searchSeed != 0 {
 		spec.Search = &jobspec.SearchSpec{
@@ -163,46 +161,14 @@ func main() {
 		cfg.VerifySelected = true
 	}
 
-	// Warm-start cache: skip the gate-level ATPG back-annotation when a
-	// matching cache file exists. A missing file is an ordinary cold
-	// start; a stale file (different format version, library generation,
-	// width, seed or march) is ignored with a warning and overwritten
-	// after the run; an irrecoverably corrupt file is quarantined to
-	// *.corrupt (the warning names the quarantine path) and the run
-	// starts cold. A torn tail — a crash mid-save — is not corruption:
-	// the intact record prefix still warm-starts.
-	if *cache != "" {
-		cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
-		cfg.Annotator.Obs = cfg.Obs // count loaded entries when instrumented
-		var mismatch *testcost.CacheMismatchError
-		var corrupt *testcost.CacheCorruptError
-		switch err := cfg.Annotator.LoadFile(*cache); {
-		case err == nil:
-		case errors.Is(err, fs.ErrNotExist):
-		case errors.As(err, &mismatch):
-			log.Printf("warning: ignoring stale cache %s: %v", *cache, err)
-		case errors.As(err, &corrupt):
-			log.Printf("warning: ignoring corrupt cache %s: %v", *cache, err)
-		default:
-			log.Fatal(err)
-		}
-	}
-	if *atpgDeadline < 0 {
-		log.Fatalf("-atpg-deadline %v is negative (use 0 for no budget)", *atpgDeadline)
-	}
-	if *atpgDeadline > 0 {
-		if cfg.Annotator == nil {
-			cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
-			cfg.Annotator.Obs = cfg.Obs
-		}
-		cfg.Annotator.ATPGDeadline = *atpgDeadline
-	}
+	// The ATPG budget comes from the spec, whose hash binds checkpoints.
+	cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
+	cfg.Annotator.Obs = cfg.Obs // count loaded entries when instrumented
+	cfg.Annotator.ATPGDeadline = spec.ATPGDeadline.Std()
 
 	// Process sharding: -shards/-shard-index makes this invocation one
-	// worker of an N-process fan-out. Its product is its shard
-	// checkpoint, so -checkpoint is mandatory; the shard slot must be
-	// fixed before the checkpoint opens, because the file's shard header
-	// binds to it.
+	// worker of an N-process fan-out (dse.RunShard). Its product is its
+	// shard checkpoint, so -checkpoint is mandatory.
 	if *shards < 0 {
 		log.Fatalf("-shards %d is negative (use 0 for unsharded)", *shards)
 	}
@@ -217,9 +183,33 @@ func main() {
 			log.Fatalf("-shard-index %d out of range [0,%d)", *shardIndex, *shards)
 		}
 		cfg.Shard = &dse.ShardRange{Count: *shards, Index: *shardIndex}
+		cfg.EventSink = shardLog(*checkpoint)
 	}
 	if *merge != "" && *checkpoint != "" {
 		log.Fatal("-merge ignores -checkpoint (the shard files are the inputs); drop one")
+	}
+
+	// Warm-start cache: skip the gate-level ATPG back-annotation when a
+	// matching cache file exists. A missing file is an ordinary cold
+	// start; a stale file (different format version, library generation,
+	// width, seed or march) is ignored with a warning and overwritten
+	// after the run; an irrecoverably corrupt file is quarantined to
+	// *.corrupt (the warning names the quarantine path) and the run
+	// starts cold. A torn tail — a crash mid-save — is not corruption:
+	// the intact record prefix still warm-starts.
+	if *cache != "" && cfg.Shard == nil {
+		var mismatch *testcost.CacheMismatchError
+		var corrupt *testcost.CacheCorruptError
+		switch err := cfg.Annotator.LoadFile(*cache); {
+		case err == nil:
+		case errors.Is(err, fs.ErrNotExist):
+		case errors.As(err, &mismatch):
+			log.Printf("warning: ignoring stale cache %s: %v", *cache, err)
+		case errors.As(err, &corrupt):
+			log.Printf("warning: ignoring corrupt cache %s: %v", *cache, err)
+		default:
+			log.Fatal(err)
+		}
 	}
 
 	// Checkpoint/resume: restore completed evaluations from a previous
@@ -228,7 +218,7 @@ func main() {
 	// run died mid-flush) resumes from its intact record prefix; an
 	// irrecoverably corrupt file is quarantined to *.corrupt and the
 	// exploration restarts cold — never a crash, never a silent loss.
-	if *checkpoint != "" {
+	if *checkpoint != "" && cfg.Shard == nil {
 		ck, err := dse.OpenCheckpoint(*checkpoint, cfg)
 		if ck == nil {
 			log.Fatal(err)
@@ -277,77 +267,73 @@ func main() {
 		close(progressDone)
 	}
 
-	// The merge path evaluates nothing, but the report's tables re-run
-	// the annotator on the selected architecture — default it here the
-	// way Study.ExploreContext does for an exploring run.
-	if *merge != "" && cfg.Annotator == nil {
-		cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
-		cfg.Annotator.Obs = cfg.Obs
-	}
 	study := core.NewStudyWithConfig(cfg)
-	exitCode := 0
-	var exploreErr error
-	if *merge != "" {
+	var runErr error
+	switch {
+	case cfg.Shard != nil:
+		// A shard worker's product is its checkpoint (and shard cache),
+		// not a report.
+		cacheOut := ""
+		if *cache != "" {
+			cacheOut = dse.ShardPath(*cache, *shardIndex, *shards)
+		}
+		runErr = dse.RunShard(ctx, cfg, *checkpoint, *cache, cacheOut)
+	case *merge != "":
 		// Canonical merge: validate that the shard checkpoints tile this
 		// config's candidate space and rebuild the result in index order.
 		// Any gap, overlap or incomplete shard is fatal — resume the
 		// offending worker and merge again.
-		res, err := dse.MergeExploreContext(ctx, cfg, splitPaths(*merge))
+		paths := splitPaths(*merge)
+		res, err := dse.MergeExploreContext(ctx, cfg, paths)
 		if err != nil {
 			log.Fatal(err)
 		}
 		study.Result = res
 		// Union the workers' annotation caches into the base cache (the
-		// existing save below rewrites it), so the next run of any
-		// topology warm-starts from the whole fan-out's work.
+		// save below rewrites it), so the next run of any topology
+		// warm-starts from the whole fan-out's work.
 		if *cache != "" {
-			if _, err := cfg.Annotator.MergeFiles(shardCaches(*cache)...); err != nil {
+			if _, err := cfg.Annotator.MergeFiles(dse.ShardPaths(*cache, len(paths))...); err != nil {
 				log.Printf("warning: shard caches not merged: %v", err)
 			}
 		}
-	} else {
-		exploreErr = study.ExploreContext(ctx)
+	default:
+		runErr = study.ExploreContext(ctx)
+		// The exploration flushes its checkpoint on completion; a
+		// cut-short one must persist its tail explicitly or the resume
+		// loses the last few entries. Safe on nil.
+		cfg.Checkpoint.Flush()
 	}
-	// The exploration flushes its checkpoint on completion; a cut-short
-	// one must persist its tail explicitly or the resume loses the last
-	// few entries. Safe on nil.
-	cfg.Checkpoint.Flush()
-	// The exploration has emitted its final ("done") event; wait for the
-	// printer to drain so progress lines never interleave with the report.
+	var partial *dse.PartialError
+	if runErr != nil && !errors.As(runErr, &partial) {
+		log.Fatal(runErr)
+	}
+	// The run has emitted its final ("done") event; wait for the printer
+	// to drain so progress lines never interleave with what follows.
 	<-progressDone
-	if err := exploreErr; err != nil {
-		var partial *dse.PartialError
-		if !errors.As(err, &partial) {
-			log.Fatal(err)
-		}
-		// A cut-short sweep: report what completed, and say why. The exit
+	exitCode := 0
+	if partial != nil {
+		// A cut-short run: report what completed, and say why. The exit
 		// code separates "ran out of time" (2, rerun with a bigger budget
 		// or -checkpoint) from "hit hard failures" (1).
 		log.Printf("partial exploration: %d/%d candidates evaluated (%d errors, %d panics)",
 			partial.Evaluated, partial.Total, len(partial.Errs), partial.Panics)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		if errors.Is(runErr, context.DeadlineExceeded) || errors.Is(runErr, context.Canceled) {
 			exitCode = 2
 			log.Printf("exploration timed out; reporting the completed subset (exit code 2)")
 		} else {
 			exitCode = 1
 			log.Printf("exploration hit hard failures: %v (exit code 1)", partial.Cause)
 		}
-		if study.Result == nil {
-			log.Printf("no usable result to report")
-			os.Exit(exitCode)
-		}
 	}
-	// A shard worker's product is its checkpoint, not a report: persist
-	// the per-shard annotation cache (the base cache stays read-only —
-	// concurrent workers share it) and stop before any printing.
 	if cfg.Shard != nil {
-		if *cache != "" {
-			out := fmt.Sprintf("%s.shard%dof%d", *cache, *shardIndex, *shards)
-			if err := cfg.Annotator.SaveFile(out); err != nil {
-				log.Fatal(err)
-			}
+		if exitCode == 0 {
+			log.Printf("shard %d/%d complete: %s", *shardIndex, *shards, *checkpoint)
 		}
-		log.Printf("shard %d/%d complete: %s", *shardIndex, *shards, *checkpoint)
+		os.Exit(exitCode)
+	}
+	if study.Result == nil {
+		log.Printf("no usable result to report")
 		os.Exit(exitCode)
 	}
 	if *cache != "" {
@@ -419,22 +405,24 @@ func main() {
 	}
 }
 
-// shardCacheSuffix matches what a shard worker appends to -cache. A
-// crashed save's temp files (….shard0of2.tmp123) and quarantined caches
-// (….corrupt) share the prefix but are not shard caches.
-var shardCacheSuffix = regexp.MustCompile(`^\.shard[0-9]+of[0-9]+$`)
-
-// shardCaches lists the per-shard caches <cache>.shard<i>of<N> the
-// workers of a -cache fan-out wrote, in name order.
-func shardCaches(cache string) []string {
-	matches, _ := filepath.Glob(cache + ".shard*")
-	var out []string
-	for _, m := range matches {
-		if shardCacheSuffix.MatchString(strings.TrimPrefix(filepath.Base(m), filepath.Base(cache))) {
-			out = append(out, m)
+// shardLog is a shard worker's stderr: its coded warnings (a seed cache
+// that did not load, a checkpoint restarted cold) and, once its restored
+// evaluations have streamed past, how many it resumed. Restored events
+// precede all others, and Swap hands the count to exactly one caller.
+func shardLog(checkpoint string) func(dse.Event) {
+	var restored atomic.Int64
+	return func(ev dse.Event) {
+		switch {
+		case ev.Kind == dse.EventRestored:
+			restored.Add(1)
+			return
+		case ev.Kind == dse.EventWarning && ev.Code != "":
+			log.Printf("warning: %s", ev.Msg)
+		}
+		if n := restored.Swap(0); n > 0 {
+			log.Printf("resuming from checkpoint %s: %d completed evaluations", checkpoint, n)
 		}
 	}
-	return out
 }
 
 // splitPaths parses the -merge operand: a comma-separated path list.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,16 +12,24 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/dse"
+	"repro/internal/jobspec"
+	"repro/internal/service"
 )
 
 // TestMain doubles as the CLI under test: re-execing this test binary
 // with TTADSE_RUN_MAIN=1 runs the real main() over the re-exec's argv,
 // so the shard/merge tests drive ttadse as separate OS processes
-// without building the command.
+// without building the command. With TTADSED_SHARD_WORKER=1 the re-exec
+// is the daemon's shard worker (ttadsed -shard-worker) instead.
 func TestMain(m *testing.M) {
 	if os.Getenv("TTADSE_RUN_MAIN") == "1" {
 		main()
 		os.Exit(0)
+	}
+	if os.Getenv("TTADSED_SHARD_WORKER") == "1" {
+		os.Exit(service.ShardWorkerMain(os.Args[1:]))
 	}
 	os.Exit(m.Run())
 }
@@ -29,12 +38,18 @@ func TestMain(m *testing.M) {
 // exit code.
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
+	return runExe(t, "TTADSE_RUN_MAIN=1", args...)
+}
+
+// runExe re-execs this test binary with env added to its environment.
+func runExe(t *testing.T, env string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), "TTADSE_RUN_MAIN=1")
+	cmd.Env = append(os.Environ(), env)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err = cmd.Run()
@@ -173,8 +188,14 @@ func TestMergeSkipsStrayShardCacheFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := shardCaches(cache), []string{cache + ".shard0of2", cache + ".shard1of2"}; strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("shardCaches = %v, want %v", got, want)
+	caches := dse.ShardPaths(cache, len(paths))
+	if want := []string{cache + ".shard0of2", cache + ".shard1of2"}; strings.Join(caches, ",") != strings.Join(want, ",") {
+		t.Fatalf("dse.ShardPaths = %v, want %v", caches, want)
+	}
+	for _, c := range caches {
+		if _, err := os.Stat(c); err != nil {
+			t.Fatalf("worker wrote no shard cache under the merge's name: %v", err)
+		}
 	}
 	_, errText, code := runCLI(t, append(append([]string(nil), base...),
 		"-merge", strings.Join(paths, ","), "-cache", cache)...)
@@ -188,6 +209,104 @@ func TestMergeSkipsStrayShardCacheFiles(t *testing.T) {
 	}
 	if matches, _ := filepath.Glob(cache + "*.corrupt.corrupt"); len(matches) > 0 {
 		t.Errorf("the merge quarantined a stray again: %v", matches)
+	}
+}
+
+// TestShardFrontEndsWriteSameFiles: the two shard front ends are one
+// worker. Shard 0 of a 2-way fan-out runs as ttadse -shards, shard 1 as
+// ttadsed -shard-worker; ttadse -merge must print the unsharded report
+// and union both shard caches, so a rerun from the merged cache
+// annotates nothing.
+func TestShardFrontEndsWriteSameFiles(t *testing.T) {
+	base := []string{"-buses", "1", "-alus", "1", "-cmps", "1"}
+	ref, errText, code := runCLI(t, base...)
+	if code != 0 {
+		t.Fatalf("unsharded run exited %d: %s", code, errText)
+	}
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "anno.cache")
+	ckpts := []string{filepath.Join(dir, "s0.ckpt"), filepath.Join(dir, "s1.ckpt")}
+
+	args := append(append([]string(nil), base...),
+		"-shards", "2", "-shard-index", "0", "-checkpoint", ckpts[0], "-cache", cache)
+	if _, errText, code := runCLI(t, args...); code != 0 {
+		t.Fatalf("ttadse shard 0 exited %d: %s", code, errText)
+	}
+
+	// The spec the CLI flags above describe, defaults spelled out as
+	// the CLI spells them: the merge checks the spec hash of every file.
+	spec := jobspec.Spec{
+		Workload: "crypt", Norm: "euclid", WA: 1, WT: 1, WC: 1, DegradedPolicy: "allow",
+		Buses: []int{1}, ALUs: []int{1}, CMPs: []int{1},
+	}
+	specPath := filepath.Join(dir, "spec.json")
+	raw, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(specPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, errText, code := runExe(t, "TTADSED_SHARD_WORKER=1", "-spec", specPath,
+		"-shards", "2", "-shard-index", "1", "-checkpoint", ckpts[1],
+		"-cache", cache, "-cache-out", dse.ShardPath(cache, 1, 2)); code != 0 {
+		t.Fatalf("ttadsed shard worker 1 exited %d: %s", code, errText)
+	}
+
+	out, errText, code := runCLI(t, append(append([]string(nil), base...),
+		"-merge", strings.Join(ckpts, ","), "-cache", cache)...)
+	if code != 0 || strings.Contains(errText, "not merged") {
+		t.Fatalf("merge exited %d: %s", code, errText)
+	}
+	if out != ref {
+		t.Fatal("merged report of the two front ends differs from the unsharded run")
+	}
+	metrics, errText, code := runCLI(t, append(append([]string(nil), base...),
+		"-cache", cache, "-metrics", "-")...)
+	if code != 0 {
+		t.Fatalf("warm rerun exited %d: %s", code, errText)
+	}
+	var snap struct{ Counters map[string]int64 }
+	if err := json.Unmarshal([]byte(metrics), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["testcost.cache.loaded"] == 0 || snap.Counters["testcost.cache.miss"] != 0 {
+		t.Fatalf("rerun from the merged cache: loaded %d, missed %d annotations; want some loaded and none missed",
+			snap.Counters["testcost.cache.loaded"], snap.Counters["testcost.cache.miss"])
+	}
+}
+
+// TestATPGDeadlineBindsCheckpoint: -atpg-deadline is part of the
+// exploration's identity. A checkpoint left by a budgeted run holds
+// degraded evaluations, so an unbudgeted run must call it stale and
+// print exactly what a clean run prints.
+func TestATPGDeadlineBindsCheckpoint(t *testing.T) {
+	base := []string{"-buses", "1", "-alus", "1", "-cmps", "1"}
+	ref, errText, code := runCLI(t, base...)
+	if code != 0 {
+		t.Fatalf("clean run exited %d: %s", code, errText)
+	}
+	if strings.Contains(ref, "degraded") {
+		t.Fatal("clean run reports degraded rows")
+	}
+	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
+	budgeted, errText, code := runCLI(t, append(append([]string(nil), base...),
+		"-atpg-deadline", "1ns", "-checkpoint", ckpt)...)
+	if code != 0 {
+		t.Fatalf("budgeted run exited %d: %s", code, errText)
+	}
+	if !strings.Contains(budgeted, "degraded") {
+		t.Fatal("budgeted run reports no degraded rows; the test exercises nothing")
+	}
+	out, errText, code := runCLI(t, append(append([]string(nil), base...), "-checkpoint", ckpt)...)
+	if code != 0 {
+		t.Fatalf("unbudgeted run exited %d: %s", code, errText)
+	}
+	if !strings.Contains(errText, "stale checkpoint") || strings.Contains(errText, "resuming") {
+		t.Fatalf("unbudgeted run did not reject the budgeted checkpoint as stale: %s", errText)
+	}
+	if out != ref {
+		t.Fatal("unbudgeted run after a budgeted one differs from a clean run")
 	}
 }
 

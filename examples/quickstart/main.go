@@ -41,7 +41,7 @@ func main() {
 	// 3. Test cost: back-annotate pattern counts from the gate-level
 	// library and evaluate equations (11)-(14).
 	ann := testcost.NewAnnotator(arch.Width, 7)
-	cost, err := ann.Evaluate(arch)
+	cost, err := ann.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -199,18 +199,6 @@ func (m *runMetrics) flush(r *obs.Registry, res *Result) {
 	}
 }
 
-// Run executes the full ATPG flow on the netlist (full-scan view):
-// a seeded random-pattern phase with fault dropping, deterministic PODEM
-// top-up for the remaining faults, and reverse-order static compaction.
-//
-// Deprecated: Run is a thin shim over RunContext with a background
-// context; a long PODEM run then cannot be cancelled. Use RunContext
-// (with a background context the error is always nil).
-func Run(n *netlist.Netlist, cfg Config) *Result {
-	res, _ := RunContext(context.Background(), n, cfg)
-	return res
-}
-
 // budget is the run's wall-clock deadline (zero = unbounded). time.Now
 // is monotonic, so once expired reports true it stays true — the
 // property the sharded PODEM merge relies on (a worker that stopped on
@@ -226,9 +214,11 @@ func newBudget(d time.Duration) budget {
 
 func (b budget) expired() bool { return !b.at.IsZero() && time.Now().After(b.at) }
 
-// RunContext is Run with cancellation: the random-pattern and PODEM
-// phases poll ctx (per block / per fault) and return (nil, ctx.Err())
-// when it is done. With a background context and no Deadline the error
+// RunContext executes the full ATPG flow on the netlist (full-scan view):
+// a seeded random-pattern phase with fault dropping, deterministic PODEM
+// top-up for the remaining faults, and reverse-order static compaction.
+// Both phases poll ctx (per block / per fault) and return
+// (nil, ctx.Err()) when it is done. With a background context and no Deadline the error
 // is always nil; an exhausted Deadline is not an error — see
 // Config.Deadline.
 func RunContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Result, error) {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,6 +9,17 @@ import (
 	"repro/internal/gatelib"
 	"repro/internal/netlist"
 )
+
+// runATPG runs the full flow under a background context, failing tb on
+// error (with no context deadline the error is always nil).
+func runATPG(tb testing.TB, n *netlist.Netlist, cfg Config) *Result {
+	tb.Helper()
+	res, err := RunContext(context.Background(), n, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 func buildSmall(t *testing.T) *netlist.Netlist {
 	t.Helper()
@@ -170,7 +182,7 @@ func TestRunOnFullAdderFullCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(n, Config{Seed: 1})
+	res := runATPG(t, n, Config{Seed: 1})
 	if res.Aborted != 0 {
 		t.Fatalf("aborted faults on a full adder: %+v", res)
 	}
@@ -184,8 +196,8 @@ func TestRunOnFullAdderFullCoverage(t *testing.T) {
 
 func TestRunDeterministicForSeed(t *testing.T) {
 	n := buildSmall(t)
-	r1 := Run(n, Config{Seed: 42})
-	r2 := Run(n, Config{Seed: 42})
+	r1 := runATPG(t, n, Config{Seed: 42})
+	r2 := runATPG(t, n, Config{Seed: 42})
 	if r1.NumPatterns() != r2.NumPatterns() || r1.Detected != r2.Detected {
 		t.Fatalf("non-deterministic ATPG: %s vs %s", r1, r2)
 	}
@@ -203,8 +215,8 @@ func TestRunDeterministicForSeed(t *testing.T) {
 
 func TestCompactionNeverLosesCoverage(t *testing.T) {
 	n := buildSmall(t)
-	raw := Run(n, Config{Seed: 3, SkipCompaction: true})
-	compact := Run(n, Config{Seed: 3})
+	raw := runATPG(t, n, Config{Seed: 3, SkipCompaction: true})
+	compact := runATPG(t, n, Config{Seed: 3})
 	if compact.Detected != raw.Detected {
 		t.Fatalf("compaction changed coverage: %d vs %d", compact.Detected, raw.Detected)
 	}
@@ -248,7 +260,7 @@ func TestRunOnALU8HighCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(alu.Comb, Config{Seed: 7})
+	res := runATPG(t, alu.Comb, Config{Seed: 7})
 	if res.Coverage() < 0.99 {
 		t.Fatalf("ALU8 coverage %.4f < 0.99: %s", res.Coverage(), res)
 	}
@@ -268,8 +280,8 @@ func TestPodemOnlyAblationStillCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deterministic := Run(alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1})
-	mixed := Run(alu.Comb, Config{Seed: 7})
+	deterministic := runATPG(t, alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1})
+	mixed := runATPG(t, alu.Comb, Config{Seed: 7})
 	if deterministic.Coverage() < mixed.Coverage()-0.01 {
 		t.Fatalf("PODEM-only coverage %.4f below mixed %.4f", deterministic.Coverage(), mixed.Coverage())
 	}
@@ -558,8 +570,8 @@ func TestParallelFaultSimMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := Run(alu.Comb, Config{Seed: 7, Workers: 1})
-	parallel := Run(alu.Comb, Config{Seed: 7, Workers: 8})
+	serial := runATPG(t, alu.Comb, Config{Seed: 7, Workers: 1})
+	parallel := runATPG(t, alu.Comb, Config{Seed: 7, Workers: 8})
 	if serial.NumPatterns() != parallel.NumPatterns() ||
 		serial.Detected != parallel.Detected ||
 		serial.Redundant != parallel.Redundant {

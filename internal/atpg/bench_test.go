@@ -28,7 +28,7 @@ func BenchmarkPODEMPhase(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Run(alu.Seq, Config{Seed: 7, MaxRandomPatterns: -1, Workers: workers})
+				runATPG(b, alu.Seq, Config{Seed: 7, MaxRandomPatterns: -1, Workers: workers})
 			}
 		})
 	}
@@ -43,7 +43,7 @@ func BenchmarkFaultDropBatched(b *testing.B) {
 	u := NewUniverse(n)
 	sim := NewSimulator(n)
 	// A realistic pattern set: the deterministic patterns of a real run.
-	res := Run(n, Config{Seed: 7, SkipCompaction: true})
+	res := runATPG(b, n, Config{Seed: 7, SkipCompaction: true})
 	patterns := res.Patterns
 	if len(patterns) < 64 {
 		b.Fatalf("want >= 64 patterns, got %d", len(patterns))

@@ -39,8 +39,8 @@ func TestDeadlineGenerousIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := Run(alu.Comb, Config{Seed: 7})
-	bud := Run(alu.Comb, Config{Seed: 7, Deadline: time.Hour})
+	ref := runATPG(t, alu.Comb, Config{Seed: 7})
+	bud := runATPG(t, alu.Comb, Config{Seed: 7, Deadline: time.Hour})
 	if bud.DeadlineExceeded {
 		t.Fatal("an hour-long budget expired on a sub-second run")
 	}
@@ -113,7 +113,7 @@ func TestEstimateBoundDominatesConvergedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := EstimateBound(alu.Comb)
-		res := Run(alu.Comb, Config{Seed: 7})
+		res := runATPG(t, alu.Comb, Config{Seed: 7})
 		if b.Patterns < res.NumPatterns() {
 			t.Fatalf("width %d: bound %d < converged n_p %d", width, b.Patterns, res.NumPatterns())
 		}

@@ -42,7 +42,7 @@ func TestShardedPodemDeterministicAcrossWorkers(t *testing.T) {
 		var base *Result
 		var baseWorkers int
 		for _, w := range settings {
-			res := Run(c.Seq, Config{Seed: 7, Workers: w})
+			res := runATPG(t, c.Seq, Config{Seed: 7, Workers: w})
 			if base == nil {
 				base, baseWorkers = res, w
 				continue
@@ -64,9 +64,9 @@ func TestShardedPodemRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := Run(alu.Seq, Config{Seed: 7, Workers: 1})
+	serial := runATPG(t, alu.Seq, Config{Seed: 7, Workers: 1})
 	for _, w := range []int{2, 8} {
-		sharded := Run(alu.Seq, Config{Seed: 7, Workers: w})
+		sharded := runATPG(t, alu.Seq, Config{Seed: 7, Workers: w})
 		if !reflect.DeepEqual(serial, sharded) {
 			t.Fatalf("Workers=%d result differs from serial:\n  %v\nvs\n  %v", w, sharded, serial)
 		}

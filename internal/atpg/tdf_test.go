@@ -64,7 +64,7 @@ func TestTDFRepeatedPatternsDetectNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(alu.Comb, Config{Seed: 7})
+	res := runATPG(t, alu.Comb, Config{Seed: 7})
 	same := make([]Pattern, 10)
 	for i := range same {
 		same[i] = res.Patterns[0]
@@ -82,7 +82,7 @@ func TestTDFCoverageFromStuckAtSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(alu.Comb, Config{Seed: 7})
+	res := runATPG(t, alu.Comb, Config{Seed: 7})
 	tdf := EvaluateTDF(alu.Comb, res.Patterns)
 	if tdf.Coverage() < 0.5 {
 		t.Fatalf("stuck-at sequence covers only %.1f%% of transition faults", 100*tdf.Coverage())
@@ -99,7 +99,7 @@ func TestOrderForTDFNeverHurtsMuch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(alu.Comb, Config{Seed: 7})
+	res := runATPG(t, alu.Comb, Config{Seed: 7})
 	base := EvaluateTDF(alu.Comb, res.Patterns)
 	reordered := EvaluateTDF(alu.Comb, OrderForTDF(res.Patterns))
 	t.Logf("TDF coverage: as-generated %.1f%%, max-toggle order %.1f%%",

@@ -114,7 +114,7 @@ func TestRunIdenticalAcrossLaneWidthsAndWorkers(t *testing.T) {
 		var base *Result
 		for _, lanes := range []int{0, 64, 256, 512} {
 			for _, workers := range []int{1, 8} {
-				res := Run(n, Config{Seed: 7, LaneWidth: lanes, Workers: workers})
+				res := runATPG(t, n, Config{Seed: 7, LaneWidth: lanes, Workers: workers})
 				if base == nil {
 					base = res
 					continue
@@ -281,7 +281,7 @@ func TestLaneMetricsUseActiveWidth(t *testing.T) {
 	}
 	for _, lanes := range laneWidths {
 		reg := obs.NewRegistry()
-		Run(alu.Seq, Config{Seed: 7, LaneWidth: lanes, Obs: reg})
+		runATPG(t, alu.Seq, Config{Seed: 7, LaneWidth: lanes, Obs: reg})
 		if got := reg.Gauge("atpg.faultsim.lane_width").Value(); got != float64(lanes) {
 			t.Fatalf("lane_width gauge %v, want %d", got, lanes)
 		}

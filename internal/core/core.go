@@ -206,7 +206,7 @@ func (s *Study) Table1() (*report.Table, error) {
 
 // Table1For renders a Table-1 comparison for any architecture.
 func Table1For(ann *testcost.Annotator, arch *tta.Architecture) (*report.Table, error) {
-	cost, err := ann.Evaluate(arch)
+	cost, err := ann.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		return nil, err
 	}

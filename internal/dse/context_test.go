@@ -151,7 +151,7 @@ func TestExploreContextMetrics(t *testing.T) {
 			t.Fatalf("counter %s = %d, want > 0 (have %+v)", c, snap.Counters[c], snap.Counters)
 		}
 	}
-	// AreaDelay and Evaluate hit the same annotations: there must be
+	// AreaDelayContext and EvaluateContext hit the same annotations: there must be
 	// cache hits, and the computed rate gauge must agree.
 	hit, miss := snap.Counters["testcost.cache.hit"], snap.Counters["testcost.cache.miss"]
 	if hit == 0 {

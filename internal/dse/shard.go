@@ -7,15 +7,20 @@
 // cheap and every process repeats it; the GA screen is not, so it runs
 // once and its survivors are persisted as a candidate list next to the
 // checkpoints (candlist.go), which later workers and the merge read.
-// This file is the other half: MergeExploreContext rebuilds the list,
-// validates that the shard files tile the candidate space exactly, and
-// rebuilds fronts and selection in canonical index order — so the merged
-// result is byte-identical to the unsharded run at any topology.
+// This file holds both halves around that list: RunShard is the one
+// worker every front end runs (ttadse -shards, ttadsed -shard-worker),
+// and MergeExploreContext rebuilds the list, validates that the shard
+// files tile the candidate space exactly, and rebuilds fronts and
+// selection in canonical index order — so the merged result is
+// byte-identical to the unsharded run at any topology. ShardPath is the
+// one name for the per-shard files the two halves exchange.
 package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -41,6 +46,73 @@ type ShardRange struct {
 // same three integers.
 func shardBounds(total, count, index int) (lo, hi int) {
 	return index * total / count, (index + 1) * total / count
+}
+
+// ShardPath names shard index's file of a count-way fan-out, derived
+// from base: base.shard<index>of<count>. Workers write their caches
+// under it; the merges union ShardPaths(base, count).
+func ShardPath(base string, index, count int) string {
+	return fmt.Sprintf("%s.shard%dof%d", base, index, count)
+}
+
+// ShardPaths names every shard's file of a count-way fan-out, in order.
+func ShardPaths(base string, count int) []string {
+	paths := make([]string, count)
+	for i := range paths {
+		paths[i] = ShardPath(base, i, count)
+	}
+	return paths
+}
+
+// RunShard runs one worker of a process-sharded exploration: the slot
+// cfg.Shard of the candidate list, persisted to the checkpoint file the
+// merge consumes. It warm-starts cfg.Annotator from seedCache (read
+// only: peers share it), opens the checkpoint (resuming a rerun; a stale
+// or corrupt file restarts cold), runs ExploreContext, writes the
+// checkpoint a final time through FlushErr and saves the annotator to
+// cacheOut. A failed final write fails the worker, so it is rerun and
+// resumes from the intact prefix instead of handing the merge a torn
+// shard. Load failures and cold restarts are warnings on cfg.EventSink,
+// coded "dse.shard.seed_cache_errors" and "durability.cold_restarts" for
+// a supervisor to count. The error is ExploreContext's (a *PartialError
+// for a cut-short run), else the final write's or the cache save's.
+func RunShard(ctx context.Context, cfg Config, checkpoint, seedCache, cacheOut string) error {
+	if cfg.Shard == nil || checkpoint == "" {
+		return errors.New("dse: a shard worker needs Config.Shard and a checkpoint file")
+	}
+	if err := cfg.fillDefaults(); err != nil {
+		return err
+	}
+	warn := func(code, format string, args ...any) {
+		if cfg.EventSink != nil {
+			msg := fmt.Sprintf("shard %d/%d: ", cfg.Shard.Index, cfg.Shard.Count) + fmt.Sprintf(format, args...)
+			cfg.EventSink(Event{Kind: EventWarning, Code: code, Msg: msg})
+		}
+	}
+	if seedCache != "" {
+		if err := cfg.Annotator.LoadFile(seedCache); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			warn("dse.shard.seed_cache_errors", "seed cache %s not loaded: %v", seedCache, err)
+		}
+	}
+	ck, err := OpenCheckpoint(checkpoint, cfg)
+	if ck == nil {
+		return err
+	}
+	if err != nil { // a stale or corrupt file: OpenCheckpoint's fresh checkpoint replaces it
+		warn("durability.cold_restarts", "checkpoint %s restarted cold: %v", checkpoint, err)
+	}
+	cfg.Checkpoint = ck
+
+	_, err = ExploreContext(ctx, cfg)
+	if ferr := ck.FlushErr(); ferr != nil && err == nil {
+		err = ferr
+	}
+	if cacheOut != "" {
+		if serr := cfg.Annotator.SaveFile(cacheOut); serr != nil && err == nil {
+			err = serr
+		}
+	}
+	return err
 }
 
 // ShardMergeError reports a shard checkpoint file the merge rejected.

@@ -415,3 +415,96 @@ func TestShardCheckpointTopologyMismatch(t *testing.T) {
 		t.Fatalf("hashless open of hashed file: ck.Len()=%d err=%v, want clean resume", ck.Len(), err)
 	}
 }
+
+// TestRunShardTornFinalWriteFails: every checkpoint write of shard 0 is
+// torn, the final durable one included. RunShard must fail — a clean
+// return would hand the merge a truncated shard — and the merge must
+// refuse the file. Rerun without the fault, the worker resumes from the
+// torn file's intact prefix and the merge is byte-identical to the
+// unsharded run.
+func TestRunShardTornFinalWriteFails(t *testing.T) {
+	ann := sharedAnnotator()
+	ref, err := ExploreContext(context.Background(), shardTestConfig(t, ann))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s0 := filepath.Join(dir, "s0.ckpt")
+	s1 := runShard(t, shardTestConfig(t, ann), 2, 1, dir)
+
+	inj := faultinject.New(1)
+	inj.Arm(faultinject.Checkpoint, faultinject.Plan{Mode: faultinject.ModeTornWrite, Frac: 0.9})
+	cfg := shardTestConfig(t, ann)
+	cfg.Shard = &ShardRange{Count: 2, Index: 0}
+	cfg.Inject = inj
+	err = RunShard(context.Background(), cfg, s0, "", "")
+	var torn *faultinject.TornWriteError
+	if !errors.As(err, &torn) {
+		t.Fatalf("RunShard behind a torn final write returned %v, want a *faultinject.TornWriteError", err)
+	}
+	inj.Disarm(faultinject.Checkpoint)
+	if _, err := MergeExploreContext(context.Background(), shardTestConfig(t, ann), []string{s0, s1}); err == nil {
+		t.Fatal("merge accepted a torn shard checkpoint")
+	}
+
+	cfg = shardTestConfig(t, ann)
+	cfg.Shard = &ShardRange{Count: 2, Index: 0}
+	restored := 0
+	cfg.EventSink = func(ev Event) {
+		if ev.Kind == EventRestored {
+			restored++
+		}
+	}
+	if err := RunShard(context.Background(), cfg, s0, "", ""); err != nil {
+		t.Fatalf("rerun worker: %v", err)
+	}
+	if restored == 0 {
+		t.Fatal("rerun worker restored nothing from the torn checkpoint's prefix")
+	}
+	merged, err := MergeExploreContext(context.Background(), shardTestConfig(t, ann), []string{s0, s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resultBytes(t, merged)) != string(resultBytes(t, ref)) {
+		t.Fatal("merge after the rerun differs from the unsharded run")
+	}
+}
+
+// TestRunShardColdRestartWarnings: a seed cache that does not load and
+// a corrupt checkpoint each cost the worker only warmth, reported as
+// warnings whose codes a supervisor counts; the worker then completes
+// its shard and writes its own cache.
+func TestRunShardColdRestartWarnings(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "s0.ckpt")
+	seed := filepath.Join(dir, "seed.cache")
+	for _, p := range []string{ckpt, seed} {
+		if err := os.WriteFile(p, []byte("not a checkpoint or a cache"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := shardTestConfig(t, sharedAnnotator())
+	cfg.Shard = &ShardRange{Count: 2, Index: 0}
+	codes := map[string]int{}
+	cfg.EventSink = func(ev Event) {
+		if ev.Kind == EventWarning {
+			codes[ev.Code]++
+		}
+	}
+	out := ShardPath(seed, 0, 2)
+	if err := RunShard(context.Background(), cfg, ckpt, seed, out); err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range []string{"dse.shard.seed_cache_errors", "durability.cold_restarts"} {
+		if codes[code] != 1 {
+			t.Errorf("%s warnings = %d, want 1 (all warnings: %v)", code, codes[code], codes)
+		}
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Fatalf("worker wrote no shard cache: %v", err)
+	}
+	if err := RunShard(context.Background(), cfg, ckpt, "", ""); err != nil || codes["durability.cold_restarts"] != 1 {
+		t.Fatalf("rerun over the worker's own checkpoint: err %v, cold restarts %d, want nil and still 1",
+			err, codes["durability.cold_restarts"])
+	}
+}

@@ -158,7 +158,7 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	// A tiny real cache to attempt loading.
 	donor := testcost.NewAnnotator(4, 7)
 	comp := tta.NewFU(tta.ALU, "ALU1")
-	if _, _, err := donor.AreaDelay(&comp); err != nil {
+	if _, _, err := donor.AreaDelayContext(context.Background(), &comp); err != nil {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
@@ -180,7 +180,7 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	}
 	// The failed load must leave the annotator usable: a full evaluation
 	// still works (cold).
-	if _, _, err := a.AreaDelay(&comp); err != nil {
+	if _, _, err := a.AreaDelayContext(context.Background(), &comp); err != nil {
 		t.Fatalf("annotator unusable after failed load: %v", err)
 	}
 

@@ -180,7 +180,10 @@ func TestTestProgramCompilesAndDumpsResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := atpg.Run(alu.Comb, atpg.Config{Seed: 7})
+	res, err := atpg.RunContext(context.Background(), alu.Comb, atpg.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tp, err := BuildTestProgram(tta.ALU, alu.Comb, res.Patterns, 16)
 	if err != nil {
 		t.Fatal(err)

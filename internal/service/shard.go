@@ -22,14 +22,14 @@
 // bounded by MaxRestarts, per worker lifetime or per RestartWindow.
 //
 // The worker side (ShardWorkerMain) is the same binary: cmd/ttadsed
-// dispatches "-shard-worker" to it before flag parsing. A worker is an
-// ordinary cancellable exploration with Config.Shard set; its product
-// is its shard checkpoint file, its stdout is the event stream, and a
-// non-zero exit tells the coordinator to restart it (the checkpoint
-// makes the restart a resume, not a redo). Workers arm their own fault
-// injector from TTADSE_FAULT_INJECT / TTADSE_FAULT_INJECT_ONCE* in the
-// environment (see armWorkerFaults) — the cross-process chaos channel,
-// since a live *faultinject.Injector cannot survive an exec.
+// dispatches "-shard-worker" to it before flag parsing. It is a thin
+// process boundary around dse.RunShard, the worker ttadse -shards runs
+// too (cache, checkpoint and its final durable write live there). Kept
+// here: the spec file, fault injection armed from TTADSE_FAULT_INJECT /
+// TTADSE_FAULT_INJECT_ONCE* (armWorkerFaults: a live Injector cannot
+// survive an exec), heartbeats, the NDJSON event stream on stdout and
+// the counter relay into it. A non-zero exit tells the coordinator to
+// restart the worker; the checkpoint makes that a resume, not a redo.
 package service
 
 import (
@@ -162,14 +162,7 @@ func (e *WorkerStallError) Unwrap() error { return e.Err }
 
 // shardCheckpointPath names shard i's checkpoint inside the work dir.
 func shardCheckpointPath(dir, hash string, i, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("job-%s.shard%dof%d.ckpt", hash, i, n))
-}
-
-// shardCachePath names shard i's write-side annotation cache. The seed
-// cache is read-shared; each worker writes its new annotations here and
-// the coordinator unions them after the fan-out.
-func shardCachePath(dir, hash string, i, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("job-%s.cache.shard%dof%d", hash, i, n))
+	return dse.ShardPath(filepath.Join(dir, "job-"+hash), i, n) + ".ckpt"
 }
 
 // runSharded is the coordinator half of a sharded job. Called from the
@@ -224,7 +217,10 @@ func (s *Server) runSharded(job *Job) {
 
 	// Seed the workers with the daemon's warm annotations (read-only on
 	// their side). Failure to write it only costs warmth, never the job.
-	seedCache := filepath.Join(workDir, "job-"+hash+".cache.seed")
+	// Each worker writes its new annotations to dse.ShardPath(cacheBase),
+	// and the coordinator unions them after the fan-out.
+	cacheBase := filepath.Join(workDir, "job-"+hash+".cache")
+	seedCache := cacheBase + ".seed"
 	if err := ann.SaveFile(seedCache); err != nil {
 		s.reg.Counter("service.cache.save_errors").Inc()
 		job.reg.Emit(obs.Event{Kind: "warning",
@@ -260,7 +256,7 @@ func (s *Server) runSharded(job *Job) {
 		go func(i int) {
 			defer wg.Done()
 			ckpt := shardCheckpointPath(workDir, hash, i, n)
-			cacheOut := shardCachePath(workDir, hash, i, n)
+			cacheOut := dse.ShardPath(cacheBase, i, n)
 			rng := rand.New(rand.NewSource(backoffSeed(hash, i)))
 			var restarts []time.Time // actual restarts, for the window budget
 			for attempt := 0; ; attempt++ {
@@ -336,11 +332,7 @@ func (s *Server) runSharded(job *Job) {
 
 	// Union the workers' new annotations into the shared annotator so
 	// later jobs (and this merge's optional verification) start warm.
-	cachePaths := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		cachePaths = append(cachePaths, shardCachePath(workDir, hash, i, n))
-	}
-	if _, err := ann.MergeFiles(cachePaths...); err != nil {
+	if _, err := ann.MergeFiles(dse.ShardPaths(cacheBase, n)...); err != nil {
 		s.reg.Counter("service.cache.load_errors").Inc()
 		job.reg.Emit(obs.Event{Kind: "warning",
 			Msg: fmt.Sprintf("shard caches not merged: %v", err)})
@@ -487,10 +479,9 @@ func stderrTail(b *bytes.Buffer) string {
 
 // ShardWorkerMain is the entry point of one shard worker process.
 // cmd/ttadsed dispatches here when invoked as "ttadsed -shard-worker
-// <flags>"; tests re-exec the test binary into it. It runs the spec's
-// exploration restricted to this worker's shard slot, streams NDJSON
-// dse.Events on stdout, and persists the shard checkpoint and the
-// worker's annotation cache. The exit code is 0 on a complete shard,
+// <flags>"; tests re-exec the test binary into it. It runs dse.RunShard
+// over the spec file's exploration and this worker's slot, streaming
+// NDJSON dse.Events on stdout. The exit code is 0 on a complete shard,
 // 1 on any failure (the coordinator restarts the worker, which resumes
 // from the checkpoint), 2 on a flag error.
 func ShardWorkerMain(args []string) int {
@@ -564,8 +555,8 @@ func armWorkerFaults(inj *faultinject.Injector) error {
 }
 
 func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cacheOut string, heartbeat time.Duration) error {
-	if specPath == "" || ckptPath == "" {
-		return errors.New("service: shard worker needs -spec and -checkpoint")
+	if specPath == "" {
+		return errors.New("service: shard worker needs -spec")
 	}
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
@@ -581,6 +572,8 @@ func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cac
 	}
 	cfg.Shard = &dse.ShardRange{Count: shards, Index: index}
 	cfg.Obs = obs.NewRegistry()
+	cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
+	cfg.Annotator.ATPGDeadline = spec.ATPGDeadline.Std()
 
 	inj := faultinject.New(int64(index) + 1)
 	if err := armWorkerFaults(inj); err != nil {
@@ -594,11 +587,20 @@ func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cac
 		return err
 	}
 
+	// The counter relay runs on every heartbeat and once at the end, so
+	// incidents cross the process boundary even if the worker later dies.
 	enc := json.NewEncoder(os.Stdout)
 	var mu sync.Mutex
+	encode := func(ev dse.Event) { enc.Encode(&ev) } // best-effort stream; a dead coordinator kills us anyway
 	emit := func(ev dse.Event) {
 		mu.Lock()
-		enc.Encode(&ev) // best-effort stream; a dead coordinator kills us anyway
+		encode(ev)
+		mu.Unlock()
+	}
+	relayed := make(map[string]int64)
+	relay := func() {
+		mu.Lock()
+		relayCounters(cfg.Obs, relayed, encode)
 		mu.Unlock()
 	}
 	cfg.EventSink = emit
@@ -623,6 +625,7 @@ func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cac
 					return
 				case <-t.C:
 					emit(dse.Event{Kind: dse.EventHeartbeat})
+					relay()
 				}
 			}
 		}()
@@ -632,52 +635,9 @@ func runShardWorker(specPath string, shards, index int, ckptPath, cachePath, cac
 		}()
 	}
 
-	ann := testcost.NewAnnotator(cfg.Width, cfg.Seed)
-	ann.Obs = cfg.Obs
-	ann.Inject = inj
-	ann.ATPGDeadline = spec.ATPGDeadline.Std()
-	if cachePath != "" {
-		if err := ann.LoadFile(cachePath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			emit(dse.Event{Kind: dse.EventWarning, Code: "dse.shard.seed_cache_errors",
-				Msg: fmt.Sprintf("shard %d/%d: seed cache %s not loaded: %v", index, shards, cachePath, err)})
-		}
-	}
-	cfg.Annotator = ann
-
-	ck, ckErr := dse.OpenCheckpoint(ckptPath, cfg)
-	if ck == nil {
-		return ckErr
-	}
-	if ckErr != nil {
-		emit(dse.Event{Kind: dse.EventWarning, Code: "durability.cold_restarts",
-			Msg: fmt.Sprintf("shard %d/%d: checkpoint %s restarted cold: %v", index, shards, ckptPath, ckErr)})
-	}
-	cfg.Checkpoint = ck
-
-	// The cache load and checkpoint open above may have counted
-	// durability incidents (prefix recoveries, quarantines, legacy
-	// loads) on the worker-local registry; relay them to the
-	// coordinator, which folds them into the job registry. The run's
-	// own incidents and screen counters follow once it ends.
-	relayed := make(map[string]int64)
-	relayCounters(cfg.Obs, relayed, emit)
-
-	_, runErr := dse.ExploreContext(context.Background(), cfg)
-	relayCounters(cfg.Obs, relayed, emit)
-	// A complete shard flushed on its way out; a partial one must
-	// persist its tail so the restart resumes instead of redoing. A
-	// failed final flush fails the worker: exiting 0 behind a torn
-	// checkpoint would hand the merge a truncated shard, while exiting 1
-	// gets this worker restarted to write it properly.
-	if err := ck.FlushErr(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if cacheOut != "" {
-		if err := ann.SaveFile(cacheOut); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	return runErr
+	err = dse.RunShard(context.Background(), cfg, ckptPath, cachePath, cacheOut)
+	relay()
+	return err
 }
 
 // relayedPrefixes name the worker-local counters the coordinator folds

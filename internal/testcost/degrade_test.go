@@ -2,6 +2,7 @@ package testcost
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func TestATPGDeadlineDegradesAnnotations(t *testing.T) {
 	deg.ATPGDeadline = time.Nanosecond
 	deg.Obs = reg
 	arch := tta.Figure9()
-	cost, err := deg.Evaluate(arch)
+	cost, err := deg.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestATPGDeadlineDegradesAnnotations(t *testing.T) {
 	}
 
 	// Pessimism: the degraded total must never undercut the measured one.
-	ref, err := sharedAnn.Evaluate(arch)
+	ref, err := sharedAnn.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestATPGDeadlineDegradesAnnotations(t *testing.T) {
 func TestDegradedEntriesNotPersisted(t *testing.T) {
 	deg := NewAnnotator(16, 7)
 	deg.ATPGDeadline = time.Nanosecond
-	if _, err := deg.Evaluate(tta.Figure9()); err != nil {
+	if _, err := deg.EvaluateContext(context.Background(), tta.Figure9()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -2,6 +2,7 @@ package testcost
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func FuzzAnnotatorLoad(f *testing.F) {
 	// (width 4 keeps the seed ATPG fast) but the JSON shape is the real
 	// one.
 	seedAnn := NewAnnotator(4, 7)
-	if _, _, err := seedAnn.AreaDelay(&tta4ALU); err != nil {
+	if _, _, err := seedAnn.AreaDelayContext(context.Background(), &tta4ALU); err != nil {
 		f.Fatal(err)
 	}
 	var valid bytes.Buffer

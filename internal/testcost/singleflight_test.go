@@ -92,7 +92,7 @@ func TestAnnotatorSingleFlightDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cost, err := fresh.Evaluate(arch)
+			cost, err := fresh.EvaluateContext(context.Background(), arch)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 				return
@@ -102,7 +102,7 @@ func TestAnnotatorSingleFlightDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 
-	want, err := sharedAnn.Evaluate(arch)
+	want, err := sharedAnn.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -416,18 +416,10 @@ func (a *Annotator) componentAnnotation(ctx context.Context, c *tta.Component) (
 	return a.marchOverride(c, an), nil
 }
 
-// Evaluate computes the full Table-1-style cost breakdown and the eq. (14)
-// total for an architecture. Ports must be assigned to buses.
-//
-// Deprecated: Evaluate is a thin shim over EvaluateContext with a
-// background context; the gate-level ATPG behind a cache miss then
-// cannot be cancelled. Use EvaluateContext.
-func (a *Annotator) Evaluate(arch *tta.Architecture) (*ArchCost, error) {
-	return a.EvaluateContext(context.Background(), arch)
-}
-
-// EvaluateContext is Evaluate with cancellation: the gate-level ATPG runs
-// behind annotation-cache misses poll ctx and abort when it is done.
+// EvaluateContext computes the full Table-1-style cost breakdown and the
+// eq. (14) total for an architecture. Ports must be assigned to buses.
+// The gate-level ATPG runs behind annotation-cache misses poll ctx and
+// abort when it is done.
 func (a *Annotator) EvaluateContext(ctx context.Context, arch *tta.Architecture) (*ArchCost, error) {
 	return a.evaluateWith(ctx, arch, a.componentAnnotation)
 }
@@ -509,16 +501,9 @@ func rfCost(np, cd, nIn, nOut, buses int) int {
 	return ceilDiv(np*m, buses) * cd
 }
 
-// AreaDelay exposes the library's area and critical-path annotation for a
-// component (used by the DSE's area/throughput axes).
-//
-// Deprecated: AreaDelay is a thin shim over AreaDelayContext with a
-// background context. Use AreaDelayContext.
-func (a *Annotator) AreaDelay(c *tta.Component) (area, delay float64, err error) {
-	return a.AreaDelayContext(context.Background(), c)
-}
-
-// AreaDelayContext is AreaDelay with cancellation (see EvaluateContext).
+// AreaDelayContext exposes the library's area and critical-path
+// annotation for a component (used by the DSE's area/throughput axes),
+// with cancellation as in EvaluateContext.
 func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (area, delay float64, err error) {
 	an, err := a.componentAnnotation(ctx, c)
 	if err != nil {

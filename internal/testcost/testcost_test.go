@@ -1,6 +1,7 @@
 package testcost
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/tta"
@@ -11,7 +12,7 @@ var sharedAnn = NewAnnotator(16, 7)
 
 func evalFigure9(t *testing.T) *ArchCost {
 	t.Helper()
-	cost, err := sharedAnn.Evaluate(tta.Figure9())
+	cost, err := sharedAnn.EvaluateContext(context.Background(), tta.Figure9())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFewerBusesRaiseCost(t *testing.T) {
 		a := tta.Figure9().Clone()
 		a.Buses = buses
 		tta.AssignPorts(a, tta.SpreadFirst)
-		cost, err := sharedAnn.Evaluate(a)
+		cost, err := sharedAnn.EvaluateContext(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +129,8 @@ func TestFewerBusesRaiseCost(t *testing.T) {
 	a4 := tta.Figure9().Clone()
 	a4.Buses = 4
 	tta.AssignPorts(a4, tta.SpreadFirst)
-	c1, _ := sharedAnn.Evaluate(a1)
-	c4, _ := sharedAnn.Evaluate(a4)
+	c1, _ := sharedAnn.EvaluateContext(context.Background(), a1)
+	c4, _ := sharedAnn.EvaluateContext(context.Background(), a4)
 	if c1.Total <= c4.Total {
 		t.Errorf("1-bus total %d not above 4-bus total %d", c1.Total, c4.Total)
 	}
@@ -157,7 +158,7 @@ func TestFigure6PortAssignmentChangesCost(t *testing.T) {
 	a.Components[2].Ports[0].Bus = 1
 	a.Components[2].Ports[1].Bus = 2
 	a.Components[3].Ports[0].Bus = 0
-	cost, err := sharedAnn.Evaluate(a)
+	cost, err := sharedAnn.EvaluateContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestRFCostEquation12(t *testing.T) {
 
 func TestAnnotationCaching(t *testing.T) {
 	a := tta.Figure9()
-	c1, err := sharedAnn.Evaluate(a)
+	c1, err := sharedAnn.EvaluateContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := sharedAnn.Evaluate(a)
+	c2, err := sharedAnn.EvaluateContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestEvaluateRejectsUnassigned(t *testing.T) {
 		Name: "raw", Width: 16, Buses: 2,
 		Components: []tta.Component{tta.NewFU(tta.ALU, "ALU")},
 	}
-	if _, err := sharedAnn.Evaluate(a); err == nil {
+	if _, err := sharedAnn.EvaluateContext(context.Background(), a); err == nil {
 		t.Fatal("unassigned architecture accepted")
 	}
 }
@@ -211,7 +212,7 @@ func TestAreaDelayAnnotation(t *testing.T) {
 	a := tta.Figure9()
 	var prevArea float64
 	for ci := range a.Components {
-		area, delay, err := sharedAnn.AreaDelay(&a.Components[ci])
+		area, delay, err := sharedAnn.AreaDelayContext(context.Background(), &a.Components[ci])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,8 +223,8 @@ func TestAreaDelayAnnotation(t *testing.T) {
 	}
 	// RF2 (12 regs) must be larger than RF1 (8 regs).
 	rfs := a.ComponentsOf(tta.RF)
-	a1, _, _ := sharedAnn.AreaDelay(&a.Components[rfs[0]])
-	a2, _, _ := sharedAnn.AreaDelay(&a.Components[rfs[1]])
+	a1, _, _ := sharedAnn.AreaDelayContext(context.Background(), &a.Components[rfs[0]])
+	a2, _, _ := sharedAnn.AreaDelayContext(context.Background(), &a.Components[rfs[1]])
 	if a2 <= a1 {
 		t.Errorf("RF2 area %.1f not above RF1 area %.1f", a2, a1)
 	}
