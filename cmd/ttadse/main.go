@@ -88,8 +88,6 @@ func main() {
 	metrics := flag.String("metrics", "", "write the metrics snapshot as JSON to this file ('-' = stdout)")
 	progress := flag.Bool("progress", false, "stream candidate-completion events to stderr")
 	timeout := flag.Duration("timeout", 0, "cancel the exploration after this duration (0 = none); completed evaluations are still reported, exit code 2")
-	atpgWorkers := flag.Int("atpg-workers", 0, "workers inside each gate-level ATPG run (0 = split the core budget with the DSE parallelism; results are identical at any setting)")
-	laneWidth := flag.Int("lane-width", 0, "fault-simulation pattern lanes per block inside each gate-level ATPG run: 64, 256 or 512 (0 = auto by netlist size; results are identical at any setting)")
 	atpgDeadline := flag.Duration("atpg-deadline", 0, "wall-clock budget per gate-level ATPG run; on exhaustion the annotation degrades to an analytical upper bound (0 = none)")
 	degradedPolicy := flag.String("degraded-policy", "allow", "how budget-degraded candidates compete in the selection: allow, penalize or exclude")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: completed evaluations are persisted there and restored on the next run")
@@ -113,8 +111,6 @@ func main() {
 		WT:             *wt,
 		WC:             *wc,
 		DegradedPolicy: *degradedPolicy,
-		ATPGWorkers:    *atpgWorkers,
-		LaneWidth:      *laneWidth,
 		ATPGDeadline:   jobspec.Duration(*atpgDeadline),
 	}
 	if *search || *searchPop != 0 || *searchGens != 0 || *searchEta != 0 || *searchSeed != 0 {
@@ -299,10 +295,6 @@ func main() {
 		}
 	default:
 		runErr = study.ExploreContext(ctx)
-		// The exploration flushes its checkpoint on completion; a
-		// cut-short one must persist its tail explicitly or the resume
-		// loses the last few entries. Safe on nil.
-		cfg.Checkpoint.Flush()
 	}
 	var partial *dse.PartialError
 	if runErr != nil && !errors.As(runErr, &partial) {
@@ -356,29 +348,29 @@ func main() {
 
 	switch {
 	case *fig == 2:
-		printTable(study, *csv, study.Figure2Table)
+		printTable(*csv, study.Figure2Table)
 		if !*csv {
 			mustPrint(study.Figure2Plot())
 		}
 	case *fig == 8:
-		printTable(study, *csv, study.Figure8Table)
+		printTable(*csv, study.Figure8Table)
 		if !*csv {
 			mustPrint(study.Figure8Plot())
 		}
 	case *table1:
-		printTable(study, *csv, study.Table1)
+		printTable(*csv, study.Table1)
 	case printDefault:
-		printTable(study, *csv, study.Figure2Table)
+		printTable(*csv, study.Figure2Table)
 		if !*csv {
 			mustPrint(study.Figure2Plot())
 		}
 		fmt.Println()
-		printTable(study, *csv, study.Figure8Table)
+		printTable(*csv, study.Figure8Table)
 		if !*csv {
 			mustPrint(study.Figure8Plot())
 		}
 		fmt.Println()
-		printTable(study, *csv, study.Table1)
+		printTable(*csv, study.Table1)
 		fmt.Println()
 		mustPrint(study.Summary())
 		fmt.Println()
@@ -476,8 +468,7 @@ func writeMetrics(reg *obs.Registry, path string) error {
 	return obs.JSONSink{W: w}.Emit(reg.Snapshot())
 }
 
-func printTable(study *core.Study, csv bool, gen func() (*report.Table, error)) {
-	_ = study
+func printTable(csv bool, gen func() (*report.Table, error)) {
 	t, err := gen()
 	if err != nil {
 		log.Fatal(err)

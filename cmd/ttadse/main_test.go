@@ -38,18 +38,18 @@ func TestMain(m *testing.M) {
 // exit code.
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	return runExe(t, "TTADSE_RUN_MAIN=1", args...)
+	return runExe(t, []string{"TTADSE_RUN_MAIN=1"}, args...)
 }
 
 // runExe re-execs this test binary with env added to its environment.
-func runExe(t *testing.T, env string, args ...string) (stdout, stderr string, code int) {
+func runExe(t *testing.T, env []string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), env)
+	cmd.Env = append(os.Environ(), env...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err = cmd.Run()
@@ -66,9 +66,9 @@ func runExe(t *testing.T, env string, args ...string) (stdout, stderr string, co
 
 // TestShardMergeCLIByteIdentical is the CLI half of the determinism
 // contract: N worker invocations plus one -merge must print exactly the
-// unsharded run's bytes, at every shard count and with the worker count
-// varying per process (-atpg-workers 1 vs 8 — results are identical at
-// any setting, so shards may disagree on it), with the per-shard
+// unsharded run's bytes, at every shard count and with the core budget
+// varying per process (GOMAXPROCS 1 vs 8 — results are identical at any
+// parallelism, so shards may disagree on it), with the per-shard
 // annotation caches unioned back into the base file.
 func TestShardMergeCLIByteIdentical(t *testing.T) {
 	base := []string{"-buses", "1", "-alus", "1", "-cmps", "1"}
@@ -86,14 +86,14 @@ func TestShardMergeCLIByteIdentical(t *testing.T) {
 			for i := 0; i < n; i++ {
 				ckpt := filepath.Join(dir, fmt.Sprintf("s%dof%d.ckpt", i, n))
 				paths = append(paths, ckpt)
-				workers := "1"
+				procs := "GOMAXPROCS=1"
 				if i%2 == 0 {
-					workers = "8"
+					procs = "GOMAXPROCS=8"
 				}
 				args := append(append([]string(nil), base...),
 					"-shards", strconv.Itoa(n), "-shard-index", strconv.Itoa(i),
-					"-checkpoint", ckpt, "-cache", cache, "-atpg-workers", workers)
-				if _, errText, code := runCLI(t, args...); code != 0 {
+					"-checkpoint", ckpt, "-cache", cache)
+				if _, errText, code := runExe(t, []string{"TTADSE_RUN_MAIN=1", procs}, args...); code != 0 {
 					t.Fatalf("shard %d/%d exited %d: %s", i, n, code, errText)
 				}
 				shardCache := fmt.Sprintf("%s.shard%dof%d", cache, i, n)
@@ -101,8 +101,8 @@ func TestShardMergeCLIByteIdentical(t *testing.T) {
 					t.Fatalf("worker %d wrote no per-shard cache: %v", i, err)
 				}
 			}
-			out, errText, code := runCLI(t, append(append([]string(nil), base...),
-				"-merge", strings.Join(paths, ","), "-cache", cache, "-atpg-workers", "8")...)
+			out, errText, code := runExe(t, []string{"TTADSE_RUN_MAIN=1", "GOMAXPROCS=8"}, append(append([]string(nil), base...),
+				"-merge", strings.Join(paths, ","), "-cache", cache)...)
 			if code != 0 {
 				t.Fatalf("merge exited %d: %s", code, errText)
 			}
@@ -247,7 +247,7 @@ func TestShardFrontEndsWriteSameFiles(t *testing.T) {
 	if err := os.WriteFile(specPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, errText, code := runExe(t, "TTADSED_SHARD_WORKER=1", "-spec", specPath,
+	if _, errText, code := runExe(t, []string{"TTADSED_SHARD_WORKER=1"}, "-spec", specPath,
 		"-shards", "2", "-shard-index", "1", "-checkpoint", ckpts[1],
 		"-cache", cache, "-cache-out", dse.ShardPath(cache, 1, 2)); code != 0 {
 		t.Fatalf("ttadsed shard worker 1 exited %d: %s", code, errText)
@@ -350,7 +350,6 @@ func TestShardFlagValidation(t *testing.T) {
 		{"-shards", "2", "-shard-index", "2", "-checkpoint", "x"}, // index out of range
 		{"-shards", "2", "-checkpoint", "x", "-merge", "a"},       // worker and merge at once
 		{"-merge", "a.ckpt", "-checkpoint", "x"},                  // merge ignores -checkpoint
-		{"-lane-width", "128"},                                    // invalid lane width
 	}
 	for _, args := range cases {
 		if _, errText, code := runCLI(t, args...); code == 0 {

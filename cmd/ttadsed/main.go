@@ -17,6 +17,11 @@
 //	curl -s localhost:8080/v1/jobs/job-1/front     # partial fronts
 //	curl -s localhost:8080/v1/jobs/job-1/result    # 202 mid-run, 200 done
 //
+// The POST body is a jobspec.Spec of at most 1 MiB (413 beyond). Unknown
+// keys answer 400, except the two retired throughput keys older clients
+// may still send (ATPG worker count and fault-simulation lane width):
+// they never changed a result, and are ignored.
+//
 // On SIGTERM or SIGINT the daemon drains: intake stops (503), running
 // jobs are interrupted and checkpoint their finished prefix (with
 // -checkpoint-dir), the warm annotation cache is flushed (with -cache),
@@ -57,6 +62,11 @@ import (
 	"repro/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or idle connection cannot hold a server goroutine
+// indefinitely. Request bodies are bounded by size in the service.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	// A sharded job's worker processes are this same binary: the
 	// coordinator (internal/service) execs "ttadsed -shard-worker
@@ -72,14 +82,7 @@ func main() {
 	cache := flag.String("cache", "", "warm annotation cache file (loaded at startup, saved on drain)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for per-spec checkpoint files (enables drain/resume)")
 	drainWait := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
-	laneWidth := flag.Int("lane-width", 0, "default fault-simulation lanes per block for jobs that leave lane_width unset: 64, 256 or 512 (0 = auto by netlist size; results are identical at any setting)")
 	flag.Parse()
-
-	switch *laneWidth {
-	case 0, 64, 256, 512:
-	default:
-		log.Fatalf("-lane-width %d is invalid (use 0 for auto, or 64, 256, 512)", *laneWidth)
-	}
 
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -87,13 +90,12 @@ func main() {
 		}
 	}
 	srv := service.NewServer(service.Options{
-		MaxConcurrent:    *maxJobs,
-		QueueDepth:       *queue,
-		CachePath:        *cache,
-		CheckpointDir:    *ckptDir,
-		DefaultLaneWidth: *laneWidth,
+		MaxConcurrent: *maxJobs,
+		QueueDepth:    *queue,
+		CachePath:     *cache,
+		CheckpointDir: *ckptDir,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)

@@ -82,20 +82,6 @@ type Config struct {
 	// synchronized.
 	Parallelism int
 
-	// ATPGWorkers bounds the parallelism inside each gate-level ATPG run
-	// behind an annotation-cache miss. 0 splits the core budget
-	// automatically — max(1, GOMAXPROCS / evaluation parallelism) — so
-	// candidate-level and ATPG-level workers never oversubscribe the
-	// machine; negative values are a configuration error. Results are
-	// identical at any setting (see atpg.Config.Workers).
-	ATPGWorkers int
-
-	// LaneWidth selects the fault-simulation pattern-block width inside
-	// each gate-level ATPG run: 0 = auto by netlist size, or 64, 256,
-	// 512 lanes. Results are identical at any setting; wider blocks only
-	// change annotation wall time (see atpg.Config.LaneWidth).
-	LaneWidth int
-
 	// EventSink, when non-nil, receives the exploration's typed progress
 	// events (candidate/restored completions, isolated panics, degraded
 	// annotations, warnings, and a final "done") synchronously from the
@@ -201,14 +187,6 @@ func (c *Config) fillDefaults() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("dse: Parallelism %d is negative (use 0 for GOMAXPROCS)", c.Parallelism)
 	}
-	if c.ATPGWorkers < 0 {
-		return fmt.Errorf("dse: ATPGWorkers %d is negative (use 0 to split the core budget automatically)", c.ATPGWorkers)
-	}
-	switch c.LaneWidth {
-	case 0, 64, 256, 512:
-	default:
-		return fmt.Errorf("dse: LaneWidth %d is invalid (use 0 for auto, or 64, 256, 512)", c.LaneWidth)
-	}
 	if c.Shard != nil {
 		if c.Shard.Count < 1 {
 			return fmt.Errorf("dse: shard count %d (want >= 1)", c.Shard.Count)
@@ -264,23 +242,17 @@ func (c *Config) fillDefaults() error {
 	if c.Annotator.ATPGWorkers == 0 {
 		c.Annotator.ATPGWorkers = c.atpgWorkerBudget()
 	}
-	if c.Annotator.LaneWidth == 0 && c.LaneWidth != 0 {
-		c.Annotator.LaneWidth = c.LaneWidth
-	}
 	if c.Annotator.Inject == nil && c.Inject != nil {
 		c.Annotator.Inject = c.Inject
 	}
 	return nil
 }
 
-// atpgWorkerBudget resolves the per-ATPG-run worker count: the explicit
-// setting when given, otherwise the core budget left per concurrent
+// atpgWorkerBudget is the per-ATPG-run worker count for an annotator
+// that leaves ATPGWorkers unset: the core budget left per concurrent
 // candidate evaluation, so Parallelism × ATPGWorkers ≤ GOMAXPROCS and the
 // two parallelism levels never oversubscribe.
 func (c *Config) atpgWorkerBudget() int {
-	if c.ATPGWorkers > 0 {
-		return c.ATPGWorkers
-	}
 	evals := c.Parallelism
 	if evals <= 0 {
 		evals = runtime.GOMAXPROCS(0)

@@ -324,28 +324,51 @@ func TestParallelExplorationMatchesSerial(t *testing.T) {
 	cfg.ALUCounts = []int{1, 2}
 	cfg.CMPCounts = []int{1}
 	cfg.RFSets = cfg.RFSets[:3]
-	cfg.Annotator = explore(t).Config.Annotator
+	warm := explore(t).Config.Annotator
+	cold := func(workers int) *testcost.Annotator {
+		a := testcost.NewAnnotator(cfg.Width, cfg.Seed)
+		a.ATPGWorkers = workers
+		return a
+	}
 
 	serial := cfg
 	serial.Parallelism = 1
+	serial.Annotator = warm
 	rs, err := ExploreContext(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := cfg
-	par.Parallelism = 8
-	rp, err := ExploreContext(context.Background(), par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Candidates) != len(rp.Candidates) || rs.Selected != rp.Selected {
-		t.Fatalf("parallel exploration diverged: %d/%d vs %d/%d",
-			len(rs.Candidates), rs.Selected, len(rp.Candidates), rp.Selected)
-	}
-	for i := range rs.Candidates {
-		a, b := rs.Candidates[i], rp.Candidates[i]
-		if a.Area != b.Area || a.Cycles != b.Cycles || a.TestCost != b.TestCost || a.Feasible != b.Feasible {
-			t.Fatalf("candidate %d differs between serial and parallel runs", i)
+	// Candidate parallelism and the worker count inside each cold ATPG
+	// run only move wall time: every run reproduces the serial report.
+	for _, run := range []struct {
+		name string
+		par  int
+		ann  *testcost.Annotator
+	}{
+		{"parallel", 8, warm},
+		{"cold-atpg-workers=1", 2, cold(1)},
+		{"cold-atpg-workers=8", 2, cold(8)},
+	} {
+		c := cfg
+		c.Parallelism = run.par
+		c.Annotator = run.ann
+		rp, err := ExploreContext(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Candidates) != len(rp.Candidates) || rs.Selected != rp.Selected {
+			t.Fatalf("%s exploration diverged: %d/%d vs %d/%d", run.name,
+				len(rs.Candidates), rs.Selected, len(rp.Candidates), rp.Selected)
+		}
+		for i := range rs.Candidates {
+			a, b := rs.Candidates[i], rp.Candidates[i]
+			if a.Arch.Name != b.Arch.Name {
+				t.Fatalf("%s: candidate %d is %s, want %s", run.name, i, b.Arch.Name, a.Arch.Name)
+			}
+			a.Arch, b.Arch = nil, nil
+			if a != b {
+				t.Fatalf("%s: candidate %d differs from the serial run:\n%+v\n%+v", run.name, i, b, a)
+			}
 		}
 	}
 }

@@ -53,8 +53,6 @@ func FromSpec(spec jobspec.Spec) (Config, SelectionSpec, error) {
 		return Config{}, SelectionSpec{}, err
 	}
 	cfg.Parallelism = spec.Parallelism
-	cfg.ATPGWorkers = spec.ATPGWorkers
-	cfg.LaneWidth = spec.LaneWidth
 	cfg.VerifySelected = spec.VerifySelected
 	// The spec's result identity travels with the config so checkpoint
 	// files bind to it. Shard topology deliberately does NOT map here:

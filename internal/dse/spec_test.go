@@ -44,8 +44,6 @@ func TestFromSpecOverridesAndNormalizes(t *testing.T) {
 		WA:             2,
 		DegradedPolicy: "exclude",
 		Parallelism:    3,
-		ATPGWorkers:    1,
-		LaneWidth:      512,
 	}
 	cfg, sel, err := FromSpec(spec)
 	if err != nil {
@@ -67,11 +65,8 @@ func TestFromSpecOverridesAndNormalizes(t *testing.T) {
 	if cfg.WorkloadReps != 1000 {
 		t.Errorf("reps %d, want 1000", cfg.WorkloadReps)
 	}
-	if cfg.Parallelism != 3 || cfg.ATPGWorkers != 1 {
-		t.Errorf("parallelism %d/%d", cfg.Parallelism, cfg.ATPGWorkers)
-	}
-	if cfg.LaneWidth != 512 {
-		t.Errorf("lane width %d, want 512", cfg.LaneWidth)
+	if cfg.Parallelism != 3 {
+		t.Errorf("parallelism %d, want 3", cfg.Parallelism)
 	}
 	want := SelectionSpec{Norm: "chebyshev", WA: 2, DegradedPolicy: "exclude"}
 	if sel != want {

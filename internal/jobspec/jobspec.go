@@ -4,11 +4,15 @@
 // /v1/jobs body IS a Spec), so the two surfaces can never drift.
 //
 // A Spec carries only JSON-serializable values: workload and space knobs,
-// selection norm and weights, cache/checkpoint paths, deadlines and
-// worker budgets. It deliberately carries no live objects (annotators,
-// registries, contexts) — those are wired by the consumer
+// selection norm and weights, cache/checkpoint paths, deadlines and the
+// candidate-level parallelism. It deliberately carries no live objects
+// (annotators, registries, contexts) — those are wired by the consumer
 // (dse.FromSpec + the caller), which keeps a Spec safe to persist, log,
-// and replay.
+// and replay. Throughput settings that never change a result — the
+// workers inside each gate-level ATPG run and the fault-simulation lane
+// width — are not part of a Spec; the engine derives them. The daemon
+// still accepts, and ignores, the two retired keys older clients sent
+// for them (internal/service).
 package jobspec
 
 import (
@@ -19,16 +23,6 @@ import (
 	"sort"
 	"time"
 )
-
-// LaneWidthError reports a lane_width outside {0, 64, 256, 512}. It is a
-// typed error so spec boundaries (flag parsing, POST bodies) can detect
-// the specific failure instead of matching message text; the invalid
-// value never reaches the fault-simulation layer.
-type LaneWidthError struct{ Width int }
-
-func (e *LaneWidthError) Error() string {
-	return fmt.Sprintf("jobspec: lane_width %d is invalid (use 0 for auto, or 64, 256, 512)", e.Width)
-}
 
 // Workload names accepted by Spec.Workload ("" means crypt, the paper's
 // application). The builders live in internal/crypt and
@@ -127,17 +121,8 @@ type Spec struct {
 	ATPGDeadline Duration `json:"atpg_deadline,omitempty"`
 
 	// Parallelism bounds concurrent candidate evaluations (0 =
-	// GOMAXPROCS); ATPGWorkers bounds workers inside each gate-level ATPG
-	// run (0 = split the core budget automatically). Results are identical
-	// at any setting.
+	// GOMAXPROCS). Results are identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
-	ATPGWorkers int `json:"atpg_workers,omitempty"`
-
-	// LaneWidth selects the fault-simulation pattern-block width inside
-	// each gate-level ATPG run: 0 = auto by netlist size, or 64, 256,
-	// 512 lanes. Results are identical at any setting; wider blocks only
-	// change annotation wall time.
-	LaneWidth int `json:"lane_width,omitempty"`
 
 	// VerifySelected re-derives and simulates the selected candidate's
 	// schedule after the exploration.
@@ -274,14 +259,6 @@ func (s *Spec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("jobspec: parallelism %d is negative (use 0 for GOMAXPROCS)", s.Parallelism)
 	}
-	if s.ATPGWorkers < 0 {
-		return fmt.Errorf("jobspec: atpg_workers %d is negative (use 0 for the automatic core-budget split)", s.ATPGWorkers)
-	}
-	switch s.LaneWidth {
-	case 0, 64, 256, 512:
-	default:
-		return &LaneWidthError{Width: s.LaneWidth}
-	}
 	if s.Shard != nil {
 		if err := s.Shard.Validate(); err != nil {
 			return err
@@ -324,13 +301,13 @@ func (s *Spec) Normalize() {
 
 // Hash returns a short stable identity for the job's RESULT: two specs
 // hash equal exactly when they describe the same deterministic report.
-// Topology and throughput knobs (shard layout, parallelism, ATPG workers,
-// lane width) and I/O paths (cache, checkpoint) are excluded — results
-// are byte-identical across all of them — as is Timeout, which changes
-// only where a run may be cut off, never the converged bytes. ATPGDeadline
-// stays in: a budgeted run records degraded annotations with different
-// values. The hash names checkpoint files, so every shard of a job and
-// its unsharded twin agree on it.
+// Topology and throughput knobs (shard layout, parallelism) and I/O
+// paths (cache, checkpoint) are excluded — results are byte-identical
+// across all of them — as is Timeout, which changes only where a run may
+// be cut off, never the converged bytes. ATPGDeadline stays in: a
+// budgeted run records degraded annotations with different values. The
+// hash names checkpoint files, so every shard of a job and its unsharded
+// twin agree on it.
 func (s Spec) Hash() string {
 	// The receiver is a shallow copy; Normalize would otherwise sort the
 	// caller's slices in place through the shared backing arrays.
@@ -343,8 +320,6 @@ func (s Spec) Hash() string {
 	}
 	s.Shard = nil
 	s.Parallelism = 0
-	s.ATPGWorkers = 0
-	s.LaneWidth = 0
 	s.Cache = ""
 	s.Checkpoint = ""
 	s.Timeout = 0

@@ -31,9 +31,6 @@ func TestValidateRejects(t *testing.T) {
 		{"timeout", Spec{Timeout: -1}, "timeout"},
 		{"atpg-deadline", Spec{ATPGDeadline: -1}, "atpg_deadline"},
 		{"parallelism", Spec{Parallelism: -1}, "parallelism"},
-		{"atpg-workers", Spec{ATPGWorkers: -1}, "atpg_workers"},
-		{"lane-width-negative", Spec{LaneWidth: -64}, "lane_width"},
-		{"lane-width-odd", Spec{LaneWidth: 128}, "lane_width"},
 		{"buses", Spec{Buses: []int{1, 0}}, "buses"},
 		{"alus", Spec{ALUs: []int{-3}}, "alus"},
 		{"cmps", Spec{CMPs: []int{2, 0}}, "cmps"},
@@ -83,8 +80,6 @@ func TestJSONRoundTrip(t *testing.T) {
 		Timeout:         Duration(90 * time.Second),
 		ATPGDeadline:    Duration(250 * time.Millisecond),
 		Parallelism:     4,
-		ATPGWorkers:     2,
-		LaneWidth:       256,
 		VerifySelected:  true,
 		Search:          &SearchSpec{Population: 128, Generations: 10, Eta: 4, Seed: 42},
 		Shard: &ShardSpec{
@@ -168,8 +163,6 @@ func TestHashIgnoresTopology(t *testing.T) {
 		{Workload: "crc16", Buses: []int{2, 1, 2}, ALUs: []int{1}, Norm: "manhattan"}, // normalization
 		func() Spec { s := base; s.Shard = &ShardSpec{Shards: 8}; return s }(),
 		func() Spec { s := base; s.Parallelism = 7; return s }(),
-		func() Spec { s := base; s.ATPGWorkers = 3; return s }(),
-		func() Spec { s := base; s.LaneWidth = 512; return s }(),
 		func() Spec { s := base; s.Cache = "/tmp/x"; s.Checkpoint = "/tmp/y"; return s }(),
 		func() Spec { s := base; s.Timeout = Duration(time.Minute); return s }(),
 	}
@@ -194,6 +187,26 @@ func TestHashIgnoresTopology(t *testing.T) {
 	s.Hash()
 	if !reflect.DeepEqual(s.Buses, []int{3, 1}) {
 		t.Fatalf("Hash mutated the spec: %v", s.Buses)
+	}
+}
+
+// TestHashGolden pins Spec.Hash values: the hash names checkpoint and
+// candidate-list files, so a changed value orphans every file already on
+// disk. Any change to the Spec fields or their JSON tags must keep these.
+func TestHashGolden(t *testing.T) {
+	cases := []struct {
+		s    Spec
+		want string
+	}{
+		{Spec{}, "44136fa355b3678a"},
+		{Spec{Workload: "crc16", Buses: []int{2, 1}, Norm: "chebyshev", WA: 2}, "c7a1039a0c21a043"},
+		{Spec{Search: &SearchSpec{Population: 512, Generations: 4, Eta: 4, Seed: 11}}, "fc7b202673766867"},
+		{Spec{ATPGDeadline: Duration(5 * time.Millisecond)}, "362d7d79a627ad6a"},
+	}
+	for _, tc := range cases {
+		if got := tc.s.Hash(); got != tc.want {
+			t.Errorf("Hash(%+v) = %s, want %s", tc.s, got, tc.want)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package obs is the engine's lightweight, dependency-free observability
-// layer: atomic counters, float gauges, duration timers, hierarchical
+// layer: atomic counters, float gauges, hierarchical
 // wall-clock spans and a progress-event stream, all collected in a
 // Registry and exported through Snapshot/Sink (JSON or human-readable
 // text).
@@ -13,8 +13,8 @@
 //     no-op, so hot paths instrument unconditionally without nil checks
 //     or branching at call sites.
 //   - All operations are safe for concurrent use; counters and gauges are
-//     single atomic words, timers and span nodes take a short mutex only
-//     when recording.
+//     single atomic words, span nodes take a short mutex only when
+//     recording.
 package obs
 
 import (
@@ -77,61 +77,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Timer accumulates observed durations: count, sum, min and max.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	sum   time.Duration
-	min   time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration. No-op on a nil timer.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.sum += d
-	t.mu.Unlock()
-}
-
-// Start begins a measurement; calling the returned func records the
-// elapsed time (use with defer). Safe on a nil timer.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Stats returns the timer's aggregate view.
-func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TimerStats{
-		Count:        t.count,
-		TotalSeconds: t.sum.Seconds(),
-		MinSeconds:   t.min.Seconds(),
-		MaxSeconds:   t.max.Seconds(),
-	}
-	if t.count > 0 {
-		s.MeanSeconds = s.TotalSeconds / float64(t.count)
-	}
-	return s
-}
-
 // Event is one progress notification (e.g. a candidate evaluation
 // completing inside a long exploration).
 type Event struct {
@@ -152,7 +97,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	subs     []*subscriber
 
 	root *spanNode
@@ -164,7 +108,6 @@ func NewRegistry() *Registry {
 		start:    time.Now(),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
 		root:     newSpanNode(""),
 	}
 }
@@ -198,21 +141,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns (creating on first use) the named timer.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // subscriber is one registered event consumer; a cancelled subscriber
@@ -278,7 +206,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		UptimeSeconds: time.Since(r.start).Seconds(),
 		Counters:      map[string]int64{},
 		Gauges:        map[string]float64{},
-		Timers:        map[string]TimerStats{},
 	}
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
@@ -289,10 +216,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
 	r.mu.Unlock()
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
@@ -300,20 +223,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
 	}
-	for k, v := range timers {
-		s.Timers[k] = v.Stats()
-	}
 	s.Spans = r.root.childStats()
 	return s
-}
-
-// TimerStats is the exported aggregate of one Timer.
-type TimerStats struct {
-	Count        int64   `json:"count"`
-	TotalSeconds float64 `json:"total_seconds"`
-	MinSeconds   float64 `json:"min_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
-	MeanSeconds  float64 `json:"mean_seconds"`
 }
 
 // SpanStats is the exported aggregate of one span-tree node: all
@@ -329,11 +240,10 @@ type SpanStats struct {
 
 // Snapshot is a point-in-time export of a registry, the unit Sinks emit.
 type Snapshot struct {
-	UptimeSeconds float64               `json:"uptime_seconds"`
-	Counters      map[string]int64      `json:"counters"`
-	Gauges        map[string]float64    `json:"gauges"`
-	Timers        map[string]TimerStats `json:"timers"`
-	Spans         []SpanStats           `json:"spans"`
+	UptimeSeconds float64            `json:"uptime_seconds"`
+	Counters      map[string]int64   `json:"counters"`
+	Gauges        map[string]float64 `json:"gauges"`
+	Spans         []SpanStats        `json:"spans"`
 }
 
 // sortedKeys returns map keys in lexical order (deterministic emission).

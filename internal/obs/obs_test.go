@@ -3,7 +3,6 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentCounters hammers one counter and one per-goroutine
@@ -22,20 +21,12 @@ func TestConcurrentCounters(t *testing.T) {
 				r.Counter("shared").Inc()
 				r.Counter("shared").Add(2)
 				r.Gauge("gauge").Set(float64(w))
-				r.Timer("timer").Observe(time.Microsecond)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if got := r.Counter("shared").Value(); got != workers*perWorker*3 {
 		t.Fatalf("shared counter = %d, want %d", got, workers*perWorker*3)
-	}
-	ts := r.Timer("timer").Stats()
-	if ts.Count != workers*perWorker {
-		t.Fatalf("timer count = %d, want %d", ts.Count, workers*perWorker)
-	}
-	if ts.MinSeconds <= 0 || ts.MaxSeconds < ts.MinSeconds {
-		t.Fatalf("timer min/max inconsistent: %+v", ts)
 	}
 	g := r.Gauge("gauge").Value()
 	if g < 0 || g >= workers {
@@ -109,11 +100,6 @@ func TestNilRegistrySafety(t *testing.T) {
 	if v := r.Gauge("g").Value(); v != 0 {
 		t.Fatalf("nil gauge value %v", v)
 	}
-	r.Timer("t").Observe(time.Second)
-	r.Timer("t").Start()()
-	if s := r.Timer("t").Stats(); s.Count != 0 {
-		t.Fatalf("nil timer stats %+v", s)
-	}
 	sp := r.StartSpan("root")
 	child := sp.Child("child")
 	child.End()
@@ -143,17 +129,5 @@ func TestEvents(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 3 || got[2].N != 3 || got[0].Total != 3 {
 		t.Fatalf("events = %+v", got)
-	}
-}
-
-// TestTimerStart measures a real (short) interval.
-func TestTimerStart(t *testing.T) {
-	r := NewRegistry()
-	stop := r.Timer("t").Start()
-	time.Sleep(time.Millisecond)
-	stop()
-	s := r.Timer("t").Stats()
-	if s.Count != 1 || s.TotalSeconds <= 0 {
-		t.Fatalf("timer stats %+v", s)
 	}
 }

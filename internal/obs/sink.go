@@ -23,8 +23,7 @@ func (s JSONSink) Emit(snap *Snapshot) error {
 }
 
 // TextSink writes snapshots as a compact human-readable report: counters
-// and gauges in lexical order, timers with count/total/mean, and the span
-// tree indented by depth.
+// and gauges in lexical order, and the span tree indented by depth.
 type TextSink struct{ W io.Writer }
 
 // Emit implements Sink.
@@ -41,14 +40,6 @@ func (s TextSink) Emit(snap *Snapshot) error {
 		b.WriteString("gauges:\n")
 		for _, k := range sortedKeys(snap.Gauges) {
 			fmt.Fprintf(&b, "  %-40s %.4f\n", k, snap.Gauges[k])
-		}
-	}
-	if len(snap.Timers) > 0 {
-		b.WriteString("timers:\n")
-		for _, k := range sortedKeys(snap.Timers) {
-			t := snap.Timers[k]
-			fmt.Fprintf(&b, "  %-40s n=%d total=%.4fs mean=%.6fs\n",
-				k, t.Count, t.TotalSeconds, t.MeanSeconds)
 		}
 	}
 	if len(snap.Spans) > 0 {

@@ -17,9 +17,6 @@ func goldenSnapshot() *Snapshot {
 		Gauges: map[string]float64{
 			"testcost.cache.hit_rate": 0.9375,
 		},
-		Timers: map[string]TimerStats{
-			"eval": {Count: 2, TotalSeconds: 0.5, MinSeconds: 0.2, MaxSeconds: 0.3, MeanSeconds: 0.25},
-		},
 		Spans: []SpanStats{
 			{
 				Name: "dse", Count: 1, TotalSeconds: 1.25, MinSeconds: 1.25, MaxSeconds: 1.25,
@@ -45,15 +42,6 @@ func TestJSONSinkGolden(t *testing.T) {
   },
   "gauges": {
     "testcost.cache.hit_rate": 0.9375
-  },
-  "timers": {
-    "eval": {
-      "count": 2,
-      "total_seconds": 0.5,
-      "min_seconds": 0.2,
-      "max_seconds": 0.3,
-      "mean_seconds": 0.25
-    }
   },
   "spans": [
     {
@@ -99,7 +87,6 @@ func TestTextSinkGolden(t *testing.T) {
 		"dse.candidates.total",
 		"sched.spills",
 		"testcost.cache.hit_rate",
-		"eval",
 		"dse",
 		"evaluate",
 		"n=144",

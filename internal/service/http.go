@@ -53,15 +53,35 @@ func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *Job)) http.
 	}
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. A job spec is a few hundred
+// bytes; the cap keeps a client from making the daemon buffer an
+// unbounded body.
+const maxSubmitBytes = 1 << 20
+
+// submitBody is the POST /v1/jobs body: a jobspec.Spec plus the keys
+// older clients may still send. "atpg_workers" and "lane_width" tuned
+// ATPG throughput and never changed a result, so they are accepted and
+// ignored; every other unknown key is rejected.
+type submitBody struct {
+	jobspec.Spec
+	ATPGWorkers json.RawMessage `json:"atpg_workers"`
+	LaneWidth   json.RawMessage `json:"lane_width"`
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec jobspec.Spec
-	dec := json.NewDecoder(r.Body)
+	var body submitBody
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
-	job, err := s.Submit(spec)
+	job, err := s.Submit(body.Spec)
 	switch {
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)

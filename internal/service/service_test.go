@@ -158,6 +158,74 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSubmitIgnoresRetiredKeys: a body from an older client that still
+// carries the retired throughput keys is accepted and yields the same
+// report bytes as the spec without them; any other unknown key is still
+// rejected.
+func TestSubmitIgnoresRetiredKeys(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	submit := func(body string, wantCode int) *Job {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st JobStatus
+		json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			t.Fatalf("POST %s: status %d, want %d", body, resp.StatusCode, wantCode)
+		}
+		job, _ := srv.Job(st.ID)
+		return job
+	}
+	report := func(j *Job) []byte {
+		t.Helper()
+		if st := waitTerminal(t, j); st != StateDone {
+			t.Fatalf("job %s ended %s", j.ID, st)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _ := readAll(resp)
+		return rep
+	}
+
+	const spec = `"buses":[1],"alus":[1],"cmps":[1]`
+	plain := report(submit(`{`+spec+`}`, http.StatusAccepted))
+	old := report(submit(`{`+spec+`,"lane_width":512,"atpg_workers":8}`, http.StatusAccepted))
+	if len(plain) == 0 || !bytes.Equal(plain, old) {
+		t.Fatal("retired keys changed the report bytes")
+	}
+	submit(`{`+spec+`,"lane_widht":512}`, http.StatusBadRequest)
+}
+
+// TestSubmitBodyCap: a body past maxSubmitBytes answers 413 without
+// disturbing the daemon; the next valid submit is accepted.
+func TestSubmitBodyCap(t *testing.T) {
+	srv := NewServer(Options{})
+	h := srv.Handler()
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec.Code
+	}
+	big := `{"workload":"` + strings.Repeat("a", maxSubmitBytes) + `"}`
+	if code := post(big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: status %d, want 413", code)
+	}
+	if code := post(`{"buses":[1],"alus":[1],"cmps":[1]}`); code != http.StatusAccepted {
+		t.Fatalf("submit after an over-cap body: status %d, want 202", code)
+	}
+	for _, j := range srv.Jobs() {
+		waitTerminal(t, j)
+	}
+}
+
 func getJSON(t *testing.T, url string, wantCode int, v any) {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -116,12 +116,6 @@ type Annotator struct {
 	// automatically). Results are identical at any setting.
 	ATPGWorkers int
 
-	// LaneWidth selects the fault-simulation pattern-block width of the
-	// gate-level ATPG runs (atpg.Config.LaneWidth): 0 = auto by netlist
-	// size, or 64, 256, 512. Results are identical at any setting; wider
-	// blocks only change annotation wall time.
-	LaneWidth int
-
 	// ATPGDeadline bounds the wall-clock time of each gate-level ATPG
 	// run behind a cache miss (0 = unbounded). A run that exhausts the
 	// budget degrades gracefully instead of failing: the component's
@@ -268,12 +262,11 @@ func (a *Annotator) runAnnotation(ctx context.Context, gen func() (*gatelib.Comp
 		return annotation{}, err
 	}
 	res, err := atpg.RunContext(ctx, comp.Seq, atpg.Config{
-		Seed:      a.Seed,
-		Workers:   a.ATPGWorkers,
-		LaneWidth: a.LaneWidth,
-		Deadline:  a.ATPGDeadline,
-		Obs:       a.Obs,
-		Inject:    a.Inject,
+		Seed:     a.Seed,
+		Workers:  a.ATPGWorkers,
+		Deadline: a.ATPGDeadline,
+		Obs:      a.Obs,
+		Inject:   a.Inject,
 	})
 	if err != nil {
 		return annotation{}, err
@@ -329,8 +322,8 @@ func (a *Annotator) sockets() error {
 		// first-caller cancellation sticky for every later evaluation, so
 		// the socket ATPG must not be tied to one caller's ctx. With a
 		// background context and no deadline the error is always nil.
-		resIn, _ := atpg.RunContext(context.Background(), in.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, LaneWidth: a.LaneWidth, Obs: a.Obs})
-		resOut, _ := atpg.RunContext(context.Background(), out.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, LaneWidth: a.LaneWidth, Obs: a.Obs})
+		resIn, _ := atpg.RunContext(context.Background(), in.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, Obs: a.Obs})
+		resOut, _ := atpg.RunContext(context.Background(), out.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, Obs: a.Obs})
 		a.sockIn = annotation{np: resIn.NumPatterns(), nl: in.SeqFFs(), coverage: resIn.Coverage()}
 		a.sockOut = annotation{np: resOut.NumPatterns(), nl: out.SeqFFs(), coverage: resOut.Coverage()}
 		a.sockNP = resIn.NumPatterns()
