@@ -28,12 +28,14 @@
 // and the process exits. A restarted daemon given the same flags
 // resumes resubmitted specs from their checkpoints.
 //
-// Sharded jobs (spec field "shard") fan out over worker processes of
-// this same binary, supervised for hangs as well as crashes: a worker
-// silent past shard.stall_timeout (default 2m) is killed and restarted
-// from its checkpoint, with deterministic exponential backoff between
-// restarts and a budget of shard.max_restarts per worker (optionally
-// per shard.restart_window). Checkpoint and cache files are CRC-framed
+// Sharded jobs (spec field "shard", which takes only "shards") fan out
+// over worker processes of this same binary, supervised for hangs as
+// well as crashes: a worker silent for 2 minutes is killed and
+// restarted from its checkpoint, with deterministic exponential backoff
+// between restarts and a budget of two restarts per worker. That
+// supervision is fixed daemon policy; the retired per-job keys
+// (max_restarts, stall_timeout, heartbeat_interval, backoff_base,
+// backoff_max, restart_window) answer 400. Checkpoint and cache files are CRC-framed
 // and written atomically; a file torn by a kill resumes from its intact
 // prefix, an irrecoverably corrupt one is quarantined to *.corrupt.
 // Every incident is countable under durability.* and dse.shard.* in

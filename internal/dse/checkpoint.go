@@ -8,10 +8,10 @@
 // sorted key order. Writes go through an fsync-before-rename atomic
 // path, and a torn or bit-flipped file loads its longest valid record
 // prefix — the run resumes from the last intact evaluation instead of
-// going cold. Files written by pre-framing builds (one indented JSON
-// document) still load, flagged by a one-time legacy-format obs event;
-// files that yield no usable prefix are quarantined as *.corrupt and
-// reported as a typed durable.CorruptArtifactError.
+// going cold. Files that yield no usable prefix — including files in
+// the pre-framing whole-document format, which is no longer read — are
+// quarantined as *.corrupt and reported as a typed
+// durable.CorruptArtifactError; the run then starts cold.
 //
 // The file is keyed by everything that determines a candidate's value:
 // the checkpoint format version, the gate-level library generation
@@ -71,9 +71,9 @@ type checkpointFile struct {
 	// indices [Lo, Hi) of a Total-candidate space split Shards ways.
 	Shard *checkpointShard `json:"shard,omitempty"`
 
-	// Entries is populated in the legacy whole-document format and left
-	// empty in the framed header record (entries follow as records).
-	Entries map[string]checkpointEntry `json:"entries,omitempty"`
+	// Entries holds the decoded entry records; it is never part of the
+	// header record.
+	Entries map[string]checkpointEntry `json:"-"`
 }
 
 // checkpointRecord is one framed entry record: the candidate key and its
@@ -194,6 +194,41 @@ type Checkpoint struct {
 	inject *faultinject.Injector
 }
 
+// checkpointHeader is the header every checkpoint of cfg's exploration
+// carries, shard fields aside.
+func checkpointHeader(cfg *Config) checkpointFile {
+	return checkpointFile{
+		Version:  CheckpointFormatVersion,
+		Library:  gatelib.LibraryKey,
+		Width:    cfg.Width,
+		Seed:     cfg.Seed,
+		Workload: workloadSignature(cfg),
+		SpecHash: cfg.SpecHash,
+	}
+}
+
+// matchHeader returns a *CheckpointMismatchError naming the first header
+// field of got that differs from want. Spec hashes bind only when both
+// sides carry one: files written outside a spec (direct Config runs)
+// have no hash and stay loadable, guarded by the weaker fields.
+func matchHeader(want, got checkpointFile) error {
+	for _, m := range []struct{ field, want, got string }{
+		{"format version", fmt.Sprint(want.Version), fmt.Sprint(got.Version)},
+		{"library key", want.Library, got.Library},
+		{"width", fmt.Sprint(want.Width), fmt.Sprint(got.Width)},
+		{"seed", fmt.Sprint(want.Seed), fmt.Sprint(got.Seed)},
+		{"workload", want.Workload, got.Workload},
+	} {
+		if m.want != m.got {
+			return &CheckpointMismatchError{Field: m.field, Want: m.want, Got: m.got}
+		}
+	}
+	if want.SpecHash != "" && got.SpecHash != "" && want.SpecHash != got.SpecHash {
+		return &CheckpointMismatchError{Field: "spec hash", Want: want.SpecHash, Got: got.SpecHash}
+	}
+	return nil
+}
+
 // matchShardHeader rejects opening a shard checkpoint from an unsharded
 // run and vice versa, and any topology drift between the file and the
 // run. A fresh file (got == nil is only reached with data present) must
@@ -263,15 +298,8 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 		return nil, err
 	}
 	ck := &Checkpoint{
-		path: path,
-		header: checkpointFile{
-			Version:  CheckpointFormatVersion,
-			Library:  gatelib.LibraryKey,
-			Width:    cfg.Width,
-			Seed:     cfg.Seed,
-			Workload: workloadSignature(&cfg),
-			SpecHash: cfg.SpecHash,
-		},
+		path:    path,
+		header:  checkpointHeader(&cfg),
 		entries: make(map[string]checkpointEntry),
 		obs:     cfg.Obs,
 		inject:  cfg.Inject,
@@ -296,22 +324,8 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 	if derr != nil {
 		return ck, ck.quarantine(&CheckpointCorruptError{Reason: "decode", Err: derr})
 	}
-	for _, m := range []struct{ field, want, got string }{
-		{"format version", fmt.Sprint(ck.header.Version), fmt.Sprint(f.Version)},
-		{"library key", ck.header.Library, f.Library},
-		{"width", fmt.Sprint(ck.header.Width), fmt.Sprint(f.Width)},
-		{"seed", fmt.Sprint(ck.header.Seed), fmt.Sprint(f.Seed)},
-		{"workload", ck.header.Workload, f.Workload},
-	} {
-		if m.want != m.got {
-			return ck, &CheckpointMismatchError{Field: m.field, Want: m.want, Got: m.got}
-		}
-	}
-	// Spec hashes bind only when both sides carry one: files written by
-	// pre-shard builds (or direct Config runs) have no hash and stay
-	// loadable, guarded by the weaker header fields above.
-	if ck.header.SpecHash != "" && f.SpecHash != "" && ck.header.SpecHash != f.SpecHash {
-		return ck, &CheckpointMismatchError{Field: "spec hash", Want: ck.header.SpecHash, Got: f.SpecHash}
+	if err := matchHeader(ck.header, f); err != nil {
+		return ck, err
 	}
 	if err := matchShardHeader(ck.header.Shard, f.Shard); err != nil {
 		return ck, err
@@ -332,11 +346,6 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 		reg.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
 			"checkpoint %s was torn (%s); recovered %d entries from the valid prefix", path, rec.Cause, len(f.Entries))})
 	}
-	if rec.Legacy {
-		reg.Counter("durability.legacy_loads").Inc()
-		reg.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
-			"checkpoint %s is in the legacy (pre-CRC) format; the next flush rewrites it framed", path)})
-	}
 	return ck, nil
 }
 
@@ -353,24 +362,15 @@ func (ck *Checkpoint) quarantine(cause *CheckpointCorruptError) error {
 	return err
 }
 
-// decodeCheckpointData parses either checkpoint format via
-// durable.DecodeDocument. For a framed file it recovers the longest
-// valid record prefix, reporting the damage in the recovery summary;
-// the error return is reserved for files that yield nothing usable (no
-// intact header record, or a legacy document that does not parse).
+// decodeCheckpointData parses a framed checkpoint via
+// durable.DecodeDocument, recovering the longest valid record prefix and
+// reporting the damage in the recovery summary; the error return is
+// reserved for files that yield nothing usable (no intact header
+// record).
 func decodeCheckpointData(data []byte) (checkpointFile, durable.Recovery, error) {
-	var f checkpointFile
+	f := checkpointFile{Entries: make(map[string]checkpointEntry)}
 	rec, err := durable.DecodeDocument(data,
-		func(doc []byte) error { return json.Unmarshal(doc, &f) },
-		func(head []byte) error {
-			if err := json.Unmarshal(head, &f); err != nil {
-				return err
-			}
-			if f.Entries == nil {
-				f.Entries = make(map[string]checkpointEntry)
-			}
-			return nil
-		},
+		func(head []byte) error { return json.Unmarshal(head, &f) },
 		func(p []byte) error {
 			var r checkpointRecord
 			if err := json.Unmarshal(p, &r); err != nil {
@@ -386,20 +386,18 @@ func decodeCheckpointData(data []byte) (checkpointFile, durable.Recovery, error)
 // header record, then one record per entry in sorted key order —
 // deterministic bytes for identical content.
 func encodeCheckpoint(f checkpointFile) ([]byte, error) {
-	entries := f.Entries
-	f.Entries = nil
 	head, err := json.Marshal(&f)
 	if err != nil {
 		return nil, err
 	}
 	buf := durable.AppendRecord(nil, head)
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
+	keys := make([]string, 0, len(f.Entries))
+	for k := range f.Entries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		p, err := json.Marshal(&checkpointRecord{Key: k, Entry: entries[k]})
+		p, err := json.Marshal(&checkpointRecord{Key: k, Entry: f.Entries[k]})
 		if err != nil {
 			return nil, err
 		}

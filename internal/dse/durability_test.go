@@ -67,6 +67,10 @@ func recordBoundaries(data []byte) map[int]bool {
 func TestCheckpointTruncationSweep(t *testing.T) {
 	cfg, ref, data := recordedCheckpoint(t)
 	bounds := recordBoundaries(data)
+	headerEnd := len(data)
+	for b := range bounds {
+		headerEnd = min(headerEnd, b)
+	}
 	full := 2
 
 	for cut := 0; cut <= len(data); cut++ {
@@ -103,13 +107,14 @@ func TestCheckpointTruncationSweep(t *testing.T) {
 		if ck.Len() > full {
 			t.Fatalf("cut %d: recovered %d entries from a %d-entry file", cut, ck.Len(), full)
 		}
+		// A cut inside the header record leaves nothing to resume from,
+		// even where the surviving bytes are a complete JSON document.
+		if cut < headerEnd {
+			t.Fatalf("cut %d: a header record torn at byte %d of %d loaded instead of quarantining", cut, cut, headerEnd)
+		}
 		recovered := reg.Counter("durability.prefix_recovered").Value()
-		// A cut inside the header record's CRC trailer can leave a pure
-		// JSON document, which loads as an (empty) legacy file — still
-		// obs-visible, via durability.legacy_loads instead.
-		legacy := reg.Counter("durability.legacy_loads").Value()
-		if cut < len(data) && !bounds[cut] && recovered == 0 && legacy == 0 {
-			t.Fatalf("cut %d: torn load with no prefix_recovered/legacy_loads counter", cut)
+		if cut < len(data) && !bounds[cut] && recovered == 0 {
+			t.Fatalf("cut %d: torn load with no prefix_recovered counter", cut)
 		}
 		if cut == len(data) && (recovered != 0 || ck.Len() != full) {
 			t.Fatalf("intact file: recovered=%d len=%d", recovered, ck.Len())
@@ -143,47 +148,57 @@ func TestCheckpointTruncationSweep(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyFormatRoundTrip pins backward compatibility: a
-// whole-document pre-CRC file still loads (with the one-time legacy obs
-// event), feeds a byte-identical resume, and the next flush rewrites it
-// into the framed format exactly as a never-legacy run would have.
-func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
-	cfg, ref, framed := recordedCheckpoint(t)
-	f, rec, err := decodeCheckpointData(framed)
-	if err != nil || rec.Torn || rec.Legacy {
-		t.Fatalf("decode framed: %v (recovery %+v)", err, rec)
-	}
-
-	legacy, err := json.MarshalIndent(&f, "", "  ")
+// legacyCheckpoint renders f in the pre-CRC whole-document format: one
+// indented JSON object with the entries inline.
+func legacyCheckpoint(t testing.TB, f checkpointFile) []byte {
+	t.Helper()
+	doc, err := json.MarshalIndent(struct {
+		checkpointFile
+		Entries map[string]checkpointEntry `json:"entries"`
+	}{f, f.Entries}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return append(doc, '\n')
+}
+
+// TestCheckpointLegacyFormatRoundTrip: a whole-document pre-CRC file is
+// no longer read. OpenCheckpoint quarantines it to *.corrupt like any
+// other file without an intact header record, and the cold run that
+// follows is byte-identical to a run that never saw it, down to the
+// checkpoint bytes it writes.
+func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
+	cfg, ref, framed := recordedCheckpoint(t)
+	f, rec, err := decodeCheckpointData(framed)
+	if err != nil || rec.Torn {
+		t.Fatalf("decode framed: %v (recovery %+v)", err, rec)
+	}
+	legacy := legacyCheckpoint(t, f)
 	p := filepath.Join(t.TempDir(), "legacy.ckpt")
-	if err := os.WriteFile(p, append(legacy, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(p, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
-	legacyEvents := 0
-	reg.Subscribe(func(ev obs.Event) {
-		if ev.Kind == "warning" && bytes.Contains([]byte(ev.Msg), []byte("legacy")) {
-			legacyEvents++
-		}
-	})
 	c := cfg
 	c.Obs = reg
 	ck, err := OpenCheckpoint(p, c)
-	if err != nil {
-		t.Fatalf("legacy open: %v", err)
+	var ca *durable.CorruptArtifactError
+	var cc *CheckpointCorruptError
+	if !errors.As(err, &ca) || !errors.As(err, &cc) {
+		t.Fatalf("legacy open: err %T (%v), want CorruptArtifactError wrapping CheckpointCorruptError", err, err)
 	}
-	if ck.Len() != 2 {
-		t.Fatalf("legacy load holds %d entries, want 2", ck.Len())
+	if ca.QuarantinedTo != p+".corrupt" {
+		t.Fatalf("quarantined to %q, want %q", ca.QuarantinedTo, p+".corrupt")
 	}
-	if got := reg.Counter("durability.legacy_loads").Value(); got != 1 {
-		t.Fatalf("durability.legacy_loads = %d, want 1", got)
+	if kept, err := os.ReadFile(ca.QuarantinedTo); err != nil || !bytes.Equal(kept, legacy) {
+		t.Fatalf("quarantined evidence differs from the legacy file (read err %v)", err)
 	}
-	if legacyEvents != 1 {
-		t.Fatalf("legacy obs events = %d, want 1", legacyEvents)
+	if ck.Len() != 0 {
+		t.Fatalf("legacy open kept %d entries", ck.Len())
+	}
+	if got := reg.Counter("durability.quarantined").Value(); got != 1 {
+		t.Fatalf("durability.quarantined = %d, want 1", got)
 	}
 
 	c.Checkpoint = ck
@@ -192,24 +207,15 @@ func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, ref, res)
-
-	// The run's final flush upgrades the file to the framed format,
-	// byte-identical to the never-legacy original.
-	upgraded, err := os.ReadFile(p)
+	if got := reg.Counter("dse.checkpoint.restored").Value(); got != 0 {
+		t.Fatalf("dse.checkpoint.restored = %d, want 0 (cold run)", got)
+	}
+	written, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(upgraded, framed) {
-		t.Fatalf("upgraded file differs from framed original:\n%q\nvs\n%q", upgraded, framed)
-	}
-	reg2 := obs.NewRegistry()
-	c2 := cfg
-	c2.Obs = reg2
-	if _, err := OpenCheckpoint(p, c2); err != nil {
-		t.Fatal(err)
-	}
-	if reg2.Counter("durability.legacy_loads").Value() != 0 {
-		t.Fatal("upgraded file still loads as legacy")
+	if !bytes.Equal(written, framed) {
+		t.Fatalf("cold run wrote a different checkpoint:\n%q\nvs\n%q", written, framed)
 	}
 }
 
@@ -309,7 +315,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	}
 
 	// Seed corpus: a real framed checkpoint (built by the real writer),
-	// its truncations and a bit-flip, a legacy whole-document file, and
+	// its truncations and a bit-flip, a pre-CRC whole-document file, and
 	// assorted garbage.
 	seedPath := filepath.Join(f.TempDir(), "seed.ckpt")
 	ck, err := OpenCheckpoint(seedPath, cfg)
@@ -331,12 +337,8 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/3] ^= 0x08
 	f.Add(flipped)
-	var legacyFile checkpointFile
 	if lf, _, err := decodeCheckpointData(seed); err == nil {
-		legacyFile = lf
-	}
-	if legacy, err := json.MarshalIndent(&legacyFile, "", "  "); err == nil {
-		f.Add(append(legacy, '\n'))
+		f.Add(legacyCheckpoint(f, lf))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("{}"))
@@ -353,7 +355,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			t.Fatal("nil checkpoint")
 		}
 		if err == nil {
-			return // clean load (fresh, legacy, or prefix-recovered)
+			return // clean load (fresh or prefix-recovered)
 		}
 		var mm *CheckpointMismatchError
 		var cc *CheckpointCorruptError

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/gatelib"
 	"repro/internal/pareto"
 	"repro/internal/tta"
 )
@@ -243,14 +242,7 @@ func MergeExploreContext(ctx context.Context, cfg Config, paths []string) (*Resu
 // name a candidate inside its file's range, and every index of every
 // range must have an entry.
 func mergeShardFiles(cfg *Config, paths []string, archs []*tta.Architecture, res *Result, em *emitter, nEvents *atomic.Int64) error {
-	want := checkpointFile{
-		Version:  CheckpointFormatVersion,
-		Library:  gatelib.LibraryKey,
-		Width:    cfg.Width,
-		Seed:     cfg.Seed,
-		Workload: workloadSignature(cfg),
-		SpecHash: cfg.SpecHash,
-	}
+	want := checkpointHeader(cfg)
 	type shardInput struct {
 		path  string
 		shard checkpointShard
@@ -274,21 +266,8 @@ func mergeShardFiles(cfg *Config, paths []string, archs []*tta.Architecture, res
 			return &ShardMergeError{Path: path, Reason: fmt.Sprintf(
 				"torn file (%s) — resume that worker from this checkpoint, then merge again", rec.Cause)}
 		}
-		for _, m := range []struct{ field, want, got string }{
-			{"format version", fmt.Sprint(want.Version), fmt.Sprint(f.Version)},
-			{"library key", want.Library, f.Library},
-			{"width", fmt.Sprint(want.Width), fmt.Sprint(f.Width)},
-			{"seed", fmt.Sprint(want.Seed), fmt.Sprint(f.Seed)},
-			{"workload", want.Workload, f.Workload},
-		} {
-			if m.want != m.got {
-				return &ShardMergeError{Path: path, Reason: "header mismatch",
-					Err: &CheckpointMismatchError{Field: m.field, Want: m.want, Got: m.got}}
-			}
-		}
-		if want.SpecHash != "" && f.SpecHash != "" && want.SpecHash != f.SpecHash {
-			return &ShardMergeError{Path: path, Reason: "header mismatch",
-				Err: &CheckpointMismatchError{Field: "spec hash", Want: want.SpecHash, Got: f.SpecHash}}
+		if err := matchHeader(want, f); err != nil {
+			return &ShardMergeError{Path: path, Reason: "header mismatch", Err: err}
 		}
 		if f.Shard == nil {
 			return &ShardMergeError{Path: path, Reason: "not a shard checkpoint (no shard header)"}

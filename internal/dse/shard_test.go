@@ -148,15 +148,19 @@ func TestShardMergeRejections(t *testing.T) {
 	s0 := runShard(t, shardTestConfig(t, ann), 2, 0, dir)
 	s1 := runShard(t, shardTestConfig(t, ann), 2, 1, dir)
 
-	expectMergeError := func(name string, paths []string, wantSub string) {
+	expectMergeErrorCfg := func(name string, cfg Config, paths []string, wantSub string) {
 		t.Helper()
-		_, err := MergeExploreContext(context.Background(), shardTestConfig(t, ann), paths)
+		_, err := MergeExploreContext(context.Background(), cfg, paths)
 		if err == nil {
 			t.Fatalf("%s: merge accepted %v", name, paths)
 		}
 		if !strings.Contains(err.Error(), wantSub) {
 			t.Fatalf("%s: error %q does not mention %q", name, err, wantSub)
 		}
+	}
+	expectMergeError := func(name string, paths []string, wantSub string) {
+		t.Helper()
+		expectMergeErrorCfg(name, shardTestConfig(t, ann), paths, wantSub)
 	}
 
 	expectMergeError("duplicate", []string{s0, s1, s0}, "overlaps")
@@ -183,6 +187,36 @@ func TestShardMergeRejections(t *testing.T) {
 	otherDir := t.TempDir()
 	o0 := runShard(t, other, 2, 0, otherDir)
 	expectMergeError("wrong-space", []string{o0, s1}, "candidate space")
+
+	// A shard file written under another seed or another spec hash fails
+	// the header check.
+	rewrite := func(name string, edit func(*checkpointFile)) string {
+		t.Helper()
+		data, err := os.ReadFile(s0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := decodeCheckpointData(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&f)
+		out, err := encodeCheckpoint(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	otherSeed := rewrite("seed.ckpt", func(f *checkpointFile) { f.Seed++ })
+	expectMergeError("other-seed", []string{otherSeed, s1}, "header mismatch")
+	otherHash := rewrite("hash.ckpt", func(f *checkpointFile) { f.SpecHash = "0123456789abcdef" })
+	hashed := shardTestConfig(t, ann)
+	hashed.SpecHash = "fedcba9876543210"
+	expectMergeErrorCfg("other-spec-hash", hashed, []string{otherHash, s1}, "header mismatch")
 
 	// Typed error shape.
 	_, err = MergeExploreContext(context.Background(), shardTestConfig(t, ann), []string{s0, s1, s0})

@@ -118,24 +118,6 @@ func ScanRecords(data []byte) (payloads [][]byte, dropped int, torn *TornRecordE
 	return payloads, 0, nil
 }
 
-// IsFramed reports whether data starts with a record trailer on its
-// first line — the cheap format probe that distinguishes CRC-framed
-// artifacts from legacy whole-document JSON. Damage to the first line
-// makes this return false; the caller's legacy parse then fails and the
-// file is quarantined, which is the right answer for a file whose very
-// first record is unreadable.
-func IsFramed(data []byte) bool {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		nl = len(data)
-	}
-	line := data[:nl]
-	if len(line) < trailerLen {
-		return false
-	}
-	return bytes.Equal(line[len(line)-trailerLen:len(line)-8], []byte(trailerMark))
-}
-
 // WriteFileAtomic replaces path with data, surviving a crash at any
 // instant: the bytes are written to a unique temp file in path's
 // directory, fsynced, renamed over path, and the directory entry is
@@ -219,30 +201,24 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Recovery describes how DecodeDocument read a file: which format it was
-// in and whether (and why) only a record prefix survived.
+// Recovery describes how DecodeDocument read a file: whether (and why)
+// only a record prefix survived.
 type Recovery struct {
-	Legacy  bool   // whole-document pre-CRC format
-	Torn    bool   // framed, but only a record prefix was valid
+	Torn    bool   // only a record prefix was valid
 	CRCFail bool   // the damage was a checksum mismatch (bit rot)
 	Cause   string // human-readable damage description, "" when clean
 }
 
-// DecodeDocument parses data in either the framed or the legacy
-// whole-document format, via caller-supplied parsers: legacy takes the
-// entire pre-framing document, header the first framed record, record
-// each subsequent one. Framed damage — a torn tail, a checksum failure,
-// or a checksum-valid record the record parser rejects — stops the walk
-// and is reported in the Recovery; the parsed prefix stands. The error
-// return is reserved for files that yield nothing usable: an unparseable
-// legacy document, no intact first record, or a header record the header
-// parser rejects.
-func DecodeDocument(data []byte, legacy, header, record func([]byte) error) (Recovery, error) {
+// DecodeDocument parses framed data via caller-supplied parsers: header
+// takes the first record, record each subsequent one. Damage — a torn
+// tail, a checksum failure, or a checksum-valid record the record
+// parser rejects — stops the walk and is reported in the Recovery; the
+// parsed prefix stands. The error return is reserved for data that
+// yields nothing usable: no intact first record (which includes any
+// file that is not framed at all, such as a pre-CRC whole-document
+// file) or a header record the header parser rejects.
+func DecodeDocument(data []byte, header, record func([]byte) error) (Recovery, error) {
 	var rec Recovery
-	if !IsFramed(data) {
-		rec.Legacy = true
-		return rec, legacy(data)
-	}
 	payloads, _, torn := ScanRecords(data)
 	if torn != nil {
 		rec.Torn = true
@@ -250,6 +226,9 @@ func DecodeDocument(data []byte, legacy, header, record func([]byte) error) (Rec
 		rec.Cause = torn.Error()
 	}
 	if len(payloads) == 0 {
+		if torn == nil {
+			return rec, errors.New("empty file")
+		}
 		return rec, fmt.Errorf("no intact record (%s)", rec.Cause)
 	}
 	if err := header(payloads[0]); err != nil {

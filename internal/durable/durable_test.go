@@ -118,25 +118,34 @@ func TestScanGarbage(t *testing.T) {
 	}
 }
 
-func TestIsFramed(t *testing.T) {
-	if !IsFramed(frame(`{"a":1}`)) {
-		t.Error("framed data not detected")
+// TestDecodeDocumentRejectsUnframed: framed data decodes record by
+// record, and data that is not framed at all — empty, a pre-CRC
+// whole-document file, a framed header torn inside its trailer, garbage
+// — yields nothing and an error, so the caller quarantines it.
+func TestDecodeDocumentRejectsUnframed(t *testing.T) {
+	var got []string
+	keep := func(p []byte) error { got = append(got, string(p)); return nil }
+	rec, err := DecodeDocument(frame(`{"a":1}`, `{"b":2}`), keep, keep)
+	if err != nil || rec != (Recovery{}) {
+		t.Fatalf("framed data: err %v, recovery %+v", err, rec)
 	}
-	if !IsFramed(frame(`{"a":1}`, `{"b":2}`)) {
-		t.Error("multi-record framed data not detected")
+	if len(got) != 2 || got[0] != `{"a":1}` || got[1] != `{"b":2}` {
+		t.Fatalf("framed data decoded to %q", got)
 	}
-	// torn tail on the first record still probes as framed as long as
-	// the trailer mark survives? No: probe requires full first line
-	// trailer syntax; a tear inside it reads as legacy, and the legacy
-	// parse then fails -> quarantine. Both torn variants must not panic.
-	for _, legacy := range [][]byte{
+	header := frame(`{"version":1}`)
+	for _, data := range [][]byte{
 		nil,
 		[]byte("{}"),
 		[]byte("{\n  \"version\": 1\n}\n"),
+		header[:len(header)-4],
 		[]byte("x"),
 	} {
-		if IsFramed(legacy) {
-			t.Errorf("IsFramed(%q) = true", legacy)
+		got = nil
+		if _, err := DecodeDocument(data, keep, keep); err == nil {
+			t.Errorf("DecodeDocument(%q) accepted unframed data", data)
+		}
+		if len(got) != 0 {
+			t.Errorf("DecodeDocument(%q) parsed %q", data, got)
 		}
 	}
 }

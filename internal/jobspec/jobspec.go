@@ -12,7 +12,11 @@
 // workers inside each gate-level ATPG run and the fault-simulation lane
 // width — are not part of a Spec; the engine derives them. The daemon
 // still accepts, and ignores, the two retired keys older clients sent
-// for them (internal/service).
+// for them (internal/service). Shard supervision is not part of a Spec
+// either: the retired ShardSpec keys (max_restarts, stall_timeout,
+// heartbeat_interval, backoff_base, backoff_max, restart_window) are
+// unknown fields, which the daemon rejects — a client that sent one
+// expected a behaviour the daemon no longer offers.
 package jobspec
 
 import (
@@ -143,43 +147,13 @@ type Spec struct {
 	Shard *ShardSpec `json:"shard,omitempty"`
 }
 
-// ShardSpec configures process-sharded execution of a job.
+// ShardSpec configures process-sharded execution of a job: how many
+// worker processes, nothing more. Worker supervision (restart budget,
+// stall watchdog, heartbeats, backoff) is a fixed daemon policy in
+// internal/service, so no client can weaken it.
 type ShardSpec struct {
 	// Shards is the number of worker processes (>= 1).
 	Shards int `json:"shards"`
-
-	// MaxRestarts bounds how many times each worker is restarted — after
-	// a crash or a stall kill alike — and resumed from its own shard
-	// checkpoint (0 = the default, 2). When RestartWindow is set the
-	// budget applies per sliding window instead of per worker lifetime.
-	MaxRestarts int `json:"max_restarts,omitempty"`
-
-	// StallTimeout is how long a worker may stay silent (no event, no
-	// heartbeat on its NDJSON pipe) before the coordinator kills and
-	// restarts it — the hang-detection analogue of a crash. 0 takes the
-	// default (2m); negative disables stall detection entirely.
-	StallTimeout Duration `json:"stall_timeout,omitempty"`
-
-	// HeartbeatInterval is how often an otherwise quiet worker writes a
-	// heartbeat event, proving process liveness to the coordinator's
-	// stall watchdog. 0 takes the default (StallTimeout/4).
-	HeartbeatInterval Duration `json:"heartbeat_interval,omitempty"`
-
-	// BackoffBase and BackoffMax shape the deterministic exponential
-	// backoff between restarts of the same worker: the nth restart waits
-	// min(BackoffMax, BackoffBase<<n) plus seeded jitter. Zero values
-	// take the defaults (250ms base, 10s max) — a poisoned worker binary
-	// backs off instead of hot-looping through its budget in
-	// milliseconds.
-	BackoffBase Duration `json:"backoff_base,omitempty"`
-	BackoffMax  Duration `json:"backoff_max,omitempty"`
-
-	// RestartWindow, when positive, turns MaxRestarts into a sliding-
-	// window budget: only restarts within the last RestartWindow count
-	// against it, so a long-running worker survives occasional faults
-	// while a crash-looping one still fails the job fast. 0 keeps the
-	// lifetime budget.
-	RestartWindow Duration `json:"restart_window,omitempty"`
 }
 
 // MaxShards caps ShardSpec.Shards: each shard is a full OS process, so
@@ -193,22 +167,6 @@ func (s *ShardSpec) Validate() error {
 	}
 	if s.Shards > MaxShards {
 		return fmt.Errorf("jobspec: shard count %d exceeds the maximum %d", s.Shards, MaxShards)
-	}
-	if s.MaxRestarts < 0 {
-		return fmt.Errorf("jobspec: shard max_restarts %d is negative (use 0 for the default)", s.MaxRestarts)
-	}
-	if s.HeartbeatInterval < 0 {
-		return fmt.Errorf("jobspec: shard heartbeat_interval %s is negative (use 0 for the default)", s.HeartbeatInterval)
-	}
-	if s.StallTimeout > 0 && s.HeartbeatInterval > s.StallTimeout {
-		return fmt.Errorf("jobspec: shard heartbeat_interval %s exceeds stall_timeout %s — every worker would be killed as stalled",
-			s.HeartbeatInterval, s.StallTimeout)
-	}
-	if s.BackoffBase < 0 || s.BackoffMax < 0 || s.RestartWindow < 0 {
-		return fmt.Errorf("jobspec: shard backoff/restart-window durations must not be negative")
-	}
-	if s.BackoffBase > 0 && s.BackoffMax > 0 && s.BackoffBase > s.BackoffMax {
-		return fmt.Errorf("jobspec: shard backoff_base %s exceeds backoff_max %s", s.BackoffBase, s.BackoffMax)
 	}
 	return nil
 }

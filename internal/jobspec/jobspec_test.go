@@ -42,12 +42,6 @@ func TestValidateRejects(t *testing.T) {
 		{"shard-zero", Spec{Shard: &ShardSpec{Shards: 0}}, "shard count"},
 		{"shard-negative", Spec{Shard: &ShardSpec{Shards: -2}}, "shard count"},
 		{"shard-huge", Spec{Shard: &ShardSpec{Shards: MaxShards + 1}}, "maximum"},
-		{"shard-restarts", Spec{Shard: &ShardSpec{Shards: 2, MaxRestarts: -1}}, "max_restarts"},
-		{"shard-heartbeat-negative", Spec{Shard: &ShardSpec{Shards: 2, HeartbeatInterval: -1}}, "heartbeat_interval"},
-		{"shard-heartbeat-over-stall", Spec{Shard: &ShardSpec{Shards: 2, StallTimeout: Duration(time.Second), HeartbeatInterval: Duration(2 * time.Second)}}, "exceeds stall_timeout"},
-		{"shard-backoff-negative", Spec{Shard: &ShardSpec{Shards: 2, BackoffBase: -1}}, "must not be negative"},
-		{"shard-window-negative", Spec{Shard: &ShardSpec{Shards: 2, RestartWindow: -1}}, "must not be negative"},
-		{"shard-backoff-inverted", Spec{Shard: &ShardSpec{Shards: 2, BackoffBase: Duration(time.Minute), BackoffMax: Duration(time.Second)}}, "backoff_base"},
 	}
 	for _, tc := range cases {
 		err := tc.s.Validate()
@@ -82,14 +76,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		Parallelism:     4,
 		VerifySelected:  true,
 		Search:          &SearchSpec{Population: 128, Generations: 10, Eta: 4, Seed: 42},
-		Shard: &ShardSpec{
-			Shards: 4, MaxRestarts: 1,
-			StallTimeout:      Duration(45 * time.Second),
-			HeartbeatInterval: Duration(5 * time.Second),
-			BackoffBase:       Duration(100 * time.Millisecond),
-			BackoffMax:        Duration(4 * time.Second),
-			RestartWindow:     Duration(10 * time.Minute),
-		},
+		Shard:           &ShardSpec{Shards: 4},
 	}
 	data, err := json.Marshal(&in)
 	if err != nil {

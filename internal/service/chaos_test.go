@@ -13,21 +13,30 @@ import (
 	"repro/internal/jobspec"
 )
 
-// chaosShardSpec is the supervision topology of the chaos drills: a
-// stall timeout short enough to detect the deliberately hung worker in
-// seconds but wide enough that healthy workers starved by an
-// oversubscribed test machine (8 processes under -race) are never
-// mistaken for stalls, and near-zero backoff so restarts do not
-// dominate the test's wall clock.
-func chaosShardSpec(shards int) *jobspec.ShardSpec {
-	return &jobspec.ShardSpec{
-		Shards:            shards,
-		MaxRestarts:       2,
-		StallTimeout:      jobspec.Duration(10 * time.Second),
-		HeartbeatInterval: jobspec.Duration(250 * time.Millisecond),
-		BackoffBase:       jobspec.Duration(10 * time.Millisecond),
-		BackoffMax:        jobspec.Duration(50 * time.Millisecond),
-	}
+// lowerSupervision swaps the daemon's shard supervision for p until
+// the test ends.
+func lowerSupervision(t *testing.T, p supervisionPolicy) {
+	t.Helper()
+	prev := supervision
+	supervision = p
+	t.Cleanup(func() { supervision = prev })
+}
+
+// chaosShardSpec lowers the supervision to that of the chaos drills and
+// returns a shards-way topology: a stall timeout short enough to detect
+// the deliberately hung worker in seconds but wide enough that healthy
+// workers starved by an oversubscribed test machine (8 processes under
+// -race) are never mistaken for stalls, and near-zero backoff so
+// restarts do not dominate the test's wall clock.
+func chaosShardSpec(t *testing.T, shards int) *jobspec.ShardSpec {
+	lowerSupervision(t, supervisionPolicy{
+		maxRestarts: 2,
+		stall:       10 * time.Second,
+		heartbeat:   250 * time.Millisecond,
+		backoffBase: 10 * time.Millisecond,
+		backoffMax:  50 * time.Millisecond,
+	})
+	return &jobspec.ShardSpec{Shards: shards}
 }
 
 // TestShardedJobChaosTornAndStall is the acceptance drill for the
@@ -60,7 +69,7 @@ func TestShardedJobChaosTornAndStall(t *testing.T) {
 	}
 
 	s := spec
-	s.Shard = chaosShardSpec(8)
+	s.Shard = chaosShardSpec(t, 8)
 	job, err := srv.Submit(s)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +111,7 @@ func TestShardedJobChaosTornAndStall(t *testing.T) {
 	durability := int64(0)
 	for _, c := range []string{
 		"durability.prefix_recovered", "durability.quarantined",
-		"durability.crc_fail", "durability.legacy_loads", "durability.cold_restarts",
+		"durability.crc_fail", "durability.cold_restarts",
 	} {
 		durability += job.reg.Counter(c).Value()
 	}
@@ -123,7 +132,7 @@ func TestShardedSearchJobTornList(t *testing.T) {
 	spec := searchShardSpec()
 	want := unshardedReport(t, srv, spec)
 
-	spec.Shard = chaosShardSpec(4)
+	spec.Shard = chaosShardSpec(t, 4)
 	job, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +161,15 @@ func TestShardedSearchJobTornList(t *testing.T) {
 // budget runs out — never hang the job itself.
 func TestShardedJobStallRestartsExhausted(t *testing.T) {
 	srv := shardServer(t, faultInjectEnv+"=shard.worker=stall")
+	lowerSupervision(t, supervisionPolicy{
+		maxRestarts: 1,
+		stall:       time.Second,
+		heartbeat:   time.Second / 4,
+		backoffBase: 10 * time.Millisecond,
+		backoffMax:  20 * time.Millisecond,
+	})
 	spec := smallSpec()
-	spec.Shard = &jobspec.ShardSpec{
-		Shards:       2,
-		MaxRestarts:  1,
-		StallTimeout: jobspec.Duration(time.Second),
-		BackoffBase:  jobspec.Duration(10 * time.Millisecond),
-		BackoffMax:   jobspec.Duration(20 * time.Millisecond),
-	}
+	spec.Shard = &jobspec.ShardSpec{Shards: 2}
 	job, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -175,32 +185,6 @@ func TestShardedJobStallRestartsExhausted(t *testing.T) {
 	}
 	if got := job.reg.Counter("dse.shard.restarts_crash").Value(); got != 0 {
 		t.Fatalf("dse.shard.restarts_crash = %d, want 0 (nothing crashed, everything hung)", got)
-	}
-}
-
-// TestShardedJobRestartWindow pins the sliding-window budget plumbing:
-// with a generous window every one of an always-crashing fan-out's
-// restarts counts against the budget, so the job fails exactly as the
-// lifetime budget would.
-func TestShardedJobRestartWindow(t *testing.T) {
-	srv := shardServer(t, "TTADSED_SHARD_CRASH_ALWAYS=1")
-	spec := smallSpec()
-	spec.Shard = &jobspec.ShardSpec{
-		Shards:        2,
-		MaxRestarts:   1,
-		RestartWindow: jobspec.Duration(time.Hour),
-		BackoffBase:   jobspec.Duration(time.Millisecond),
-		BackoffMax:    jobspec.Duration(2 * time.Millisecond),
-	}
-	job, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, job); st != StateFailed {
-		t.Fatalf("always-crashing fan-out ended %s, want failed", st)
-	}
-	if got := job.reg.Counter("dse.shard.restarts").Value(); got != 2 {
-		t.Fatalf("dse.shard.restarts = %d, want 2 (2 workers x 1 windowed restart)", got)
 	}
 }
 

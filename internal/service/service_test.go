@@ -204,6 +204,44 @@ func TestSubmitIgnoresRetiredKeys(t *testing.T) {
 	submit(`{`+spec+`,"lane_widht":512}`, http.StatusBadRequest)
 }
 
+// TestSubmitRejectsRetiredShardKeys: shard supervision is daemon policy,
+// so a submit carrying one of the retired ShardSpec keys gets a 400 that
+// names the key instead of a job that silently ignores what the client
+// asked for. The same body without the key is accepted.
+func TestSubmitRejectsRetiredShardKeys(t *testing.T) {
+	srv := shardServer(t)
+	h := srv.Handler()
+	post := func(shard string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		body := `{"buses":[1],"alus":[1],"cmps":[1],"shard":{"shards":2` + shard + `}}`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec
+	}
+	for _, kv := range []string{
+		`"max_restarts":5`, `"stall_timeout":"-1s"`, `"heartbeat_interval":"1ns"`,
+		`"backoff_base":"1ns"`, `"backoff_max":"1ns"`, `"restart_window":"1h"`,
+	} {
+		key := strings.Trim(strings.SplitN(kv, ":", 2)[0], `"`)
+		rec := post("," + kv)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("shard key %s: status %d, want 400", key, rec.Code)
+			continue
+		}
+		if !strings.Contains(rec.Body.String(), key) {
+			t.Errorf("shard key %s: 400 body %q does not name the key", key, rec.Body.String())
+		}
+	}
+	rec := post("")
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("plain shard spec: status %d (%s), want 202", rec.Code, rec.Body.String())
+	}
+	for _, j := range srv.Jobs() {
+		if st := waitTerminal(t, j); st != StateDone {
+			t.Fatalf("sharded job ended %s: %s", st, j.Status().Error)
+		}
+	}
+}
+
 // TestSubmitBodyCap: a body past maxSubmitBytes answers 413 without
 // disturbing the daemon; the next valid submit is accepted.
 func TestSubmitBodyCap(t *testing.T) {

@@ -14,12 +14,15 @@
 // Supervision covers hangs as well as crashes: every line a worker
 // writes (candidate events, or explicit heartbeats when the shard is
 // quiet) resets a per-worker stall watchdog, and a worker silent past
-// ShardSpec.StallTimeout is killed and restarted exactly like a crash —
-// the two paths are told apart in the "dse.shard.stall_kills" vs
+// the stall timeout is killed and restarted exactly like a crash — the
+// two paths are told apart in the "dse.shard.stall_kills" vs
 // "dse.shard.restarts_crash" counters ("dse.shard.restarts" stays the
 // total). Restarts are paced by deterministic exponential backoff
 // (seeded jitter, so two coordinators replay the same schedule) and
-// bounded by MaxRestarts, per worker lifetime or per RestartWindow.
+// bounded per worker lifetime. The budget, stall timeout, heartbeat
+// interval and backoff shape are one fixed daemon policy (supervision),
+// not job parameters: a client can choose how many workers, never how
+// leniently they are watched.
 //
 // The worker side (ShardWorkerMain) is the same binary: cmd/ttadsed
 // dispatches "-shard-worker" to it before flag parsing. It is a thin
@@ -61,71 +64,37 @@ import (
 	"repro/internal/testcost"
 )
 
-// DefaultMaxRestarts is how many times a crashed (or stall-killed)
-// shard worker is restarted (and resumed from its checkpoint) when the
-// spec leaves ShardSpec.MaxRestarts zero.
-const DefaultMaxRestarts = 2
-
-// DefaultStallTimeout is how long a worker may stay silent before the
-// stall watchdog kills it, when the spec leaves ShardSpec.StallTimeout
-// zero. Negative spec values disable stall detection.
-const DefaultStallTimeout = 2 * time.Minute
-
-// Default restart backoff shape (see ShardSpec.BackoffBase/BackoffMax).
-const (
-	DefaultBackoffBase = 250 * time.Millisecond
-	DefaultBackoffMax  = 10 * time.Second
-)
-
-// supervision is the resolved per-fan-out watchdog and restart policy.
-type supervision struct {
-	stall       time.Duration // 0 = disabled
-	heartbeat   time.Duration // 0 = workers emit no heartbeats
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	window      time.Duration // 0 = lifetime restart budget
-	maxRestarts int
+// supervisionPolicy is the watchdog and restart policy a coordinator
+// applies to every worker of a fan-out.
+type supervisionPolicy struct {
+	maxRestarts int           // restarts per worker lifetime
+	stall       time.Duration // silence after which the watchdog kills a worker
+	heartbeat   time.Duration // worker heartbeat interval, well below stall
+	backoffBase time.Duration // pause before a worker's first restart
+	backoffMax  time.Duration // cap on the doubling pause
 }
 
-// resolveSupervision fills a ShardSpec's supervision knobs with their
-// documented defaults.
-func resolveSupervision(sh *jobspec.ShardSpec) supervision {
-	sup := supervision{
-		stall:       sh.StallTimeout.Std(),
-		heartbeat:   sh.HeartbeatInterval.Std(),
-		backoffBase: sh.BackoffBase.Std(),
-		backoffMax:  sh.BackoffMax.Std(),
-		window:      sh.RestartWindow.Std(),
-		maxRestarts: sh.MaxRestarts,
-	}
-	if sup.maxRestarts == 0 {
-		sup.maxRestarts = DefaultMaxRestarts
-	}
-	if sup.stall == 0 {
-		sup.stall = DefaultStallTimeout
-	} else if sup.stall < 0 {
-		sup.stall = 0
-	}
-	if sup.heartbeat == 0 && sup.stall > 0 {
-		sup.heartbeat = sup.stall / 4
-	}
-	if sup.backoffBase == 0 {
-		sup.backoffBase = DefaultBackoffBase
-	}
-	if sup.backoffMax == 0 {
-		sup.backoffMax = DefaultBackoffMax
-	}
-	if sup.backoffBase > sup.backoffMax {
-		sup.backoffBase = sup.backoffMax
-	}
-	return sup
+// supervision is the daemon's shard supervision. Each worker is
+// restarted at most twice, after a crash or a stall kill alike; a
+// worker silent for two minutes is killed as stalled, and heartbeats
+// every 30 s keep a quiet but live worker clear of that; restarts wait
+// 250 ms doubling to 10 s plus seeded jitter, so a poisoned worker
+// binary backs off instead of burning its budget in milliseconds. It
+// is daemon policy, not a job parameter, so no client can weaken it;
+// tests lower it.
+var supervision = supervisionPolicy{
+	maxRestarts: 2,
+	stall:       2 * time.Minute,
+	heartbeat:   2 * time.Minute / 4,
+	backoffBase: 250 * time.Millisecond,
+	backoffMax:  10 * time.Second,
 }
 
 // backoffDelay is the pause before restart number n (0-based) of one
 // worker: min(max, base<<n) plus up to 50% seeded jitter, so a fleet of
 // workers dying together does not restart in lockstep yet any given
 // coordinator replays the same schedule.
-func backoffDelay(n int, sup supervision, rng *rand.Rand) time.Duration {
+func backoffDelay(n int, sup supervisionPolicy, rng *rand.Rand) time.Duration {
 	d := sup.backoffMax
 	if shifted := sup.backoffBase << uint(min(n, 30)); shifted > 0 && shifted < d {
 		d = shifted
@@ -195,7 +164,7 @@ func (s *Server) runSharded(job *Job) {
 
 	hash := job.Spec.Hash()
 	n := job.Spec.Shard.Shards
-	sup := resolveSupervision(job.Spec.Shard)
+	sup := supervision
 
 	// The worker spec is the job minus everything the coordinator owns:
 	// the fan-out itself, cache and checkpoint paths (per-shard, passed
@@ -245,7 +214,7 @@ func (s *Server) runSharded(job *Job) {
 	}
 
 	// Fan out: one supervisor goroutine per shard, each restarting its
-	// worker from the shard checkpoint up to maxRestarts times.
+	// worker from the shard checkpoint up to sup.maxRestarts times.
 	workersGauge := job.reg.Gauge("dse.shard.workers")
 	var live atomic.Int64
 	var seq atomic.Int64 // coordinator-stamped sequence over all workers
@@ -258,7 +227,6 @@ func (s *Server) runSharded(job *Job) {
 			ckpt := shardCheckpointPath(workDir, hash, i, n)
 			cacheOut := dse.ShardPath(cacheBase, i, n)
 			rng := rand.New(rand.NewSource(backoffSeed(hash, i)))
-			var restarts []time.Time // actual restarts, for the window budget
 			for attempt := 0; ; attempt++ {
 				workersGauge.Set(float64(live.Add(1)))
 				err := s.runShardWorkerOnce(runCtx, job, &seq, specPath, seedCache, ckpt, cacheOut, i, n, sup)
@@ -270,20 +238,10 @@ func (s *Server) runSharded(job *Job) {
 					werrs[i] = context.Cause(runCtx)
 					return
 				}
-				if sup.window > 0 {
-					// Sliding-window budget: only recent restarts count, so a
-					// long-lived worker survives occasional faults while a
-					// crash loop still exhausts the budget fast.
-					cutoff := time.Now().Add(-sup.window)
-					for len(restarts) > 0 && restarts[0].Before(cutoff) {
-						restarts = restarts[1:]
-					}
-				}
-				if len(restarts) >= sup.maxRestarts {
+				if attempt >= sup.maxRestarts {
 					werrs[i] = err
 					return
 				}
-				restarts = append(restarts, time.Now())
 				var stall *WorkerStallError
 				cause := "died"
 				if errors.As(err, &stall) {
@@ -296,7 +254,7 @@ func (s *Server) runSharded(job *Job) {
 				job.sink(dse.Event{Kind: dse.EventWarning, Seq: seq.Add(1),
 					Msg: fmt.Sprintf("shard %d/%d worker %s (attempt %d of %d), resuming from its checkpoint: %v",
 						i, n, cause, attempt+1, sup.maxRestarts+1, err)})
-				delay := backoffDelay(len(restarts)-1, sup, rng)
+				delay := backoffDelay(attempt, sup, rng)
 				job.reg.Counter("dse.shard.backoff_ns").Add(int64(delay))
 				t := time.NewTimer(delay)
 				select {
@@ -372,7 +330,7 @@ func (s *Server) runSharded(job *Job) {
 // are "heartbeat" (pure liveness: any line resets the stall watchdog)
 // and "counter" events (folded into the job registry instead).
 func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, seq *atomic.Int64,
-	specPath, seedCache, ckpt, cacheOut string, index, shards int, sup supervision) error {
+	specPath, seedCache, ckpt, cacheOut string, index, shards int, sup supervisionPolicy) error {
 	argv := s.opts.ShardWorkerCommand
 	if len(argv) == 0 {
 		argv = []string{os.Args[0], "-shard-worker"}
@@ -387,19 +345,14 @@ func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, seq *atomic.I
 	if seedCache != "" {
 		args = append(args, "-cache", seedCache)
 	}
-	if sup.heartbeat > 0 {
-		args = append(args, "-heartbeat", sup.heartbeat.String())
-	}
+	args = append(args, "-heartbeat", sup.heartbeat.String())
 
 	// The stall watchdog cancels the worker's context — killing the
 	// process — when no stdout line has arrived for sup.stall. The
 	// stalled flag tells that kill apart from a parent cancellation.
-	wctx, cancel := ctx, context.CancelFunc(func() {})
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var stalled atomic.Bool
-	if sup.stall > 0 {
-		wctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
 	cmd := exec.CommandContext(wctx, argv[0], args...)
 	cmd.Env = append(os.Environ(), s.opts.ShardWorkerEnv...)
 	var stderr bytes.Buffer
@@ -411,20 +364,15 @@ func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, seq *atomic.I
 	if err := cmd.Start(); err != nil {
 		return err
 	}
-	var watchdog *time.Timer
-	if sup.stall > 0 {
-		watchdog = time.AfterFunc(sup.stall, func() {
-			stalled.Store(true)
-			cancel()
-		})
-		defer watchdog.Stop()
-	}
+	watchdog := time.AfterFunc(sup.stall, func() {
+		stalled.Store(true)
+		cancel()
+	})
+	defer watchdog.Stop()
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
-		if watchdog != nil {
-			watchdog.Reset(sup.stall)
-		}
+		watchdog.Reset(sup.stall)
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue

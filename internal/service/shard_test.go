@@ -202,9 +202,12 @@ func TestShardedJobWorkerCrashResumes(t *testing.T) {
 // immediate crash (the marker is never released) and checks the job
 // fails with the worker's error instead of hanging or reporting.
 func TestShardedJobRestartsExhausted(t *testing.T) {
+	sup := supervision
+	sup.maxRestarts = 1
+	lowerSupervision(t, sup)
 	srv := shardServer(t, "TTADSED_SHARD_CRASH_ALWAYS=1")
 	spec := smallSpec()
-	spec.Shard = &jobspec.ShardSpec{Shards: 2, MaxRestarts: 1}
+	spec.Shard = &jobspec.ShardSpec{Shards: 2}
 	job, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

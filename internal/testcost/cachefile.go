@@ -17,8 +17,8 @@
 // its longest valid record prefix (the cache is an optimization — a
 // shorter prefix just means a few re-measured annotations); files with
 // no usable prefix load cold with a typed error, and LoadFile quarantines
-// them to *.corrupt. Pre-framing whole-document files still load, flagged
-// by a one-time legacy-format obs event.
+// them to *.corrupt. Files in the pre-framing whole-document format are
+// no longer read: they take the corrupt-file path and load cold.
 package testcost
 
 import (
@@ -54,10 +54,9 @@ type cacheFile struct {
 	Sockets *socketCache `json:"sockets,omitempty"`
 
 	// Entries maps annotation-cache keys (e.g. "alu/16/ripple") to their
-	// back-annotated values. Populated in the legacy whole-document
-	// format; empty in the framed header record (entries follow as
-	// records).
-	Entries map[string]cacheEntry `json:"entries,omitempty"`
+	// back-annotated values, decoded from the entry records; it is never
+	// part of the header record.
+	Entries map[string]cacheEntry `json:"-"`
 }
 
 // cacheRecord is one framed annotation record: the cache key and its
@@ -276,29 +275,16 @@ func (a *Annotator) Load(r io.Reader) error {
 		a.Obs.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
 			"annotation cache was torn (%s); warm-loaded %d entries from the valid prefix", rec.Cause, loaded)})
 	}
-	if rec.Legacy {
-		a.Obs.Counter("durability.legacy_loads").Inc()
-		a.Obs.Emit(obs.Event{Kind: "warning", Msg: "annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed"})
-	}
 	a.Obs.Counter("testcost.cache.loaded").Add(int64(loaded))
 	return nil
 }
 
-// decodeCacheData parses either cache format via durable.DecodeDocument;
-// see decodeCheckpointData in internal/dse for the twin.
+// decodeCacheData parses a framed cache via durable.DecodeDocument; see
+// decodeCheckpointData in internal/dse for the twin.
 func decodeCacheData(data []byte) (cacheFile, durable.Recovery, error) {
-	var f cacheFile
+	f := cacheFile{Entries: make(map[string]cacheEntry)}
 	rec, err := durable.DecodeDocument(data,
-		func(doc []byte) error { return json.Unmarshal(doc, &f) },
-		func(head []byte) error {
-			if err := json.Unmarshal(head, &f); err != nil {
-				return err
-			}
-			if f.Entries == nil {
-				f.Entries = make(map[string]cacheEntry)
-			}
-			return nil
-		},
+		func(head []byte) error { return json.Unmarshal(head, &f) },
 		func(p []byte) error {
 			var r cacheRecord
 			if err := json.Unmarshal(p, &r); err != nil {

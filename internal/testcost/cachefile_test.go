@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/tta"
@@ -139,9 +140,17 @@ func TestCacheHeaderMismatch(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(&c)
 			}
-			raw, err := json.Marshal(&c)
+			head, err := json.Marshal(&c)
 			if err != nil {
 				t.Fatal(err)
+			}
+			raw := durable.AppendRecord(nil, head)
+			for k, e := range c.Entries {
+				p, err := json.Marshal(&cacheRecord{Key: k, Entry: e})
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw = durable.AppendRecord(raw, p)
 			}
 			loadErr := tc.loader.Load(bytes.NewReader(raw))
 			var mismatch *CacheMismatchError

@@ -2,6 +2,7 @@ package testcost
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/tta"
 )
 
 // TestCacheTornPrefixRecovery tears the tail off a saved cache: the load
@@ -42,40 +44,59 @@ func TestCacheTornPrefixRecovery(t *testing.T) {
 	}
 }
 
-// TestCacheLegacyFormatRoundTrip pins backward compatibility: a
-// whole-document pre-CRC cache still warm-loads (with the one-time
-// legacy obs event), and re-saving it produces the framed bytes a
-// never-legacy save would have.
+// TestCacheLegacyFormatRoundTrip: a whole-document pre-CRC cache is no
+// longer read. LoadFile quarantines it to *.corrupt and leaves the
+// annotator cold, and the cold run that follows saves exactly the bytes
+// a never-legacy run saves.
 func TestCacheLegacyFormatRoundTrip(t *testing.T) {
 	_, blob := coldAnnotator(t)
 	f, rec, err := decodeCacheData(blob)
-	if err != nil || rec.Torn || rec.Legacy {
+	if err != nil || rec.Torn {
 		t.Fatalf("decode framed cache: %v (recovery %+v)", err, rec)
 	}
-	legacy, err := json.MarshalIndent(&f, "", "  ")
+	legacy, err := json.MarshalIndent(struct {
+		cacheFile
+		Entries map[string]cacheEntry `json:"entries"`
+	}{f, f.Entries}, "", "  ")
 	if err != nil {
+		t.Fatal(err)
+	}
+	legacy = append(legacy, '\n')
+	p := filepath.Join(t.TempDir(), "legacy.cache")
+	if err := os.WriteFile(p, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	a := NewAnnotator(8, 7)
 	reg := obs.NewRegistry()
 	a.Obs = reg
-	if err := a.Load(bytes.NewReader(append(legacy, '\n'))); err != nil {
-		t.Fatalf("legacy load: %v", err)
+	err = a.LoadFile(p)
+	var ca *durable.CorruptArtifactError
+	var cc *CacheCorruptError
+	if !errors.As(err, &ca) || !errors.As(err, &cc) {
+		t.Fatalf("legacy load: err %T (%v), want CorruptArtifactError wrapping CacheCorruptError", err, err)
 	}
-	if got := reg.Counter("durability.legacy_loads").Value(); got != 1 {
-		t.Fatalf("durability.legacy_loads = %d, want 1", got)
+	if ca.QuarantinedTo != p+".corrupt" {
+		t.Fatalf("quarantined to %q, want %q", ca.QuarantinedTo, p+".corrupt")
 	}
-	if got, want := reg.Counter("testcost.cache.loaded").Value(), int64(len(f.Entries)); got != want {
-		t.Fatalf("legacy load warmed %d entries, want %d", got, want)
+	if kept, err := os.ReadFile(ca.QuarantinedTo); err != nil || !bytes.Equal(kept, legacy) {
+		t.Fatalf("quarantined evidence differs from the legacy file (read err %v)", err)
+	}
+	if got := reg.Counter("testcost.cache.loaded").Value(); got != 0 {
+		t.Fatalf("legacy load warmed %d entries, want 0", got)
 	}
 
+	arch := tta.Figure9()
+	arch.Width = 8
+	if _, err := a.EvaluateContext(context.Background(), arch); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	if err := a.Save(&out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), blob) {
-		t.Fatalf("re-saved legacy cache differs from the framed original:\n%q\nvs\n%q", out.Bytes(), blob)
+		t.Fatalf("cold run after the quarantine saved different bytes:\n%q\nvs\n%q", out.Bytes(), blob)
 	}
 }
 
